@@ -27,9 +27,6 @@ Stability promises:
   :mod:`repro.diag.codes`);
 * the JSON shape is published as ``docs/schema/check-report.schema.json``
   and validated in CI.
-
-The pre-diagnostics ``repro.infer.diagnostics.explain_unsat`` helper is
-deprecated in favour of this facade plus :mod:`repro.diag`.
 """
 
 from __future__ import annotations

@@ -406,6 +406,29 @@ def _print_check_solver_stats(
 def cmd_serve(args: argparse.Namespace) -> int:
     import signal
 
+    # Every shard of a fleet runs the configuration a lone daemon would.
+    settings = dict(
+        engine=args.engine,
+        workers=args.workers,
+        queue_limit=args.queue_limit,
+        sessions=args.sessions,
+        deadline_ms=args.deadline_ms,
+        track_fields=not args.no_fields,
+        gc=not args.no_gc,
+        budget_ms=args.budget_ms,
+        budget_solver_steps=args.budget_solver_steps,
+        budget_max_clauses=args.budget_max_clauses,
+        budget_core_queries=args.budget_core_queries,
+        quarantine_threshold=args.quarantine_threshold,
+        quarantine_ttl=args.quarantine_ttl,
+        hang_seconds=args.hang_seconds,
+        store_dir=_resolve_store_dir(args),
+        shed=args.shed,
+        brownout_threshold=args.brownout_threshold,
+        brownout_window=args.brownout_window,
+        brownout_exit_ratio=args.brownout_exit_ratio,
+        brownout_budget_ms=args.brownout_budget_ms,
+    )
     if args.shards > 0:
         from .server.router import Router, RouterConfig
 
@@ -414,37 +437,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
         # harnesses break workers, never the routing plane.
         server = Router(
             RouterConfig(
+                **settings,
                 shards=args.shards,
-                engine=args.engine,
-                workers=args.workers,
-                queue_limit=args.queue_limit,
-                sessions=args.sessions,
-                deadline_ms=args.deadline_ms,
-                track_fields=not args.no_fields,
-                gc=not args.no_gc,
-                budget_ms=args.budget_ms,
-                budget_solver_steps=args.budget_solver_steps,
-                budget_max_clauses=args.budget_max_clauses,
-                budget_core_queries=args.budget_core_queries,
-                quarantine_threshold=args.quarantine_threshold,
-                quarantine_ttl=args.quarantine_ttl,
-                hang_seconds=args.hang_seconds,
                 shard_hang_seconds=args.shard_hang_seconds,
-                store_dir=_resolve_store_dir(args),
                 probe_interval=args.probe_interval,
                 breaker_failures=args.breaker_failures,
                 breaker_latency_ms=args.breaker_latency_ms,
                 breaker_recovery_seconds=args.breaker_recovery_seconds,
-                shed=args.shed,
-                brownout_threshold=args.brownout_threshold,
-                brownout_window=args.brownout_window,
-                brownout_exit_ratio=args.brownout_exit_ratio,
-                brownout_budget_ms=args.brownout_budget_ms,
             )
         )
-        drain_timeout = server.config.drain_timeout
-        render_text = server.render_text
-        snapshot = server.stats_snapshot
     else:
         from .server import Daemon, DaemonConfig
         from .testing.faults import install_from_env
@@ -452,34 +453,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         # Chaos harnesses inject faults into subprocess daemons through
         # the environment (ROWPOLY_FAULTS); a no-op without it.
         install_from_env(os.environ)
-
-        server = Daemon(
-            DaemonConfig(
-                engine=args.engine,
-                workers=args.workers,
-                queue_limit=args.queue_limit,
-                sessions=args.sessions,
-                deadline_ms=args.deadline_ms,
-                track_fields=not args.no_fields,
-                gc=not args.no_gc,
-                budget_ms=args.budget_ms,
-                budget_solver_steps=args.budget_solver_steps,
-                budget_max_clauses=args.budget_max_clauses,
-                budget_core_queries=args.budget_core_queries,
-                quarantine_threshold=args.quarantine_threshold,
-                quarantine_ttl=args.quarantine_ttl,
-                hang_seconds=args.hang_seconds,
-                store_dir=_resolve_store_dir(args),
-                shed=args.shed,
-                brownout_threshold=args.brownout_threshold,
-                brownout_window=args.brownout_window,
-                brownout_exit_ratio=args.brownout_exit_ratio,
-                brownout_budget_ms=args.brownout_budget_ms,
-            )
-        )
-        drain_timeout = server.config.drain_timeout
-        render_text = server.metrics.render_text
-        snapshot = server.metrics.snapshot
+        server = Daemon(DaemonConfig(**settings))
+    drain_timeout = server.config.drain_timeout
 
     def on_signal(signum, frame):  # SIGTERM/SIGINT: graceful drain
         server.request_shutdown()
@@ -511,10 +486,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     finally:
         server.request_shutdown()
         server.wait_drained(drain_timeout + 5.0)
-        print(render_text(), file=sys.stderr)
+        print(server.render_text(), file=sys.stderr)
         if args.metrics_dump:
             with open(args.metrics_dump, "w") as handle:
-                json.dump(snapshot(), handle, indent=2, sort_keys=True)
+                json.dump(server.stats_snapshot(), handle, indent=2,
+                          sort_keys=True)
                 handle.write("\n")
     return EXIT_OK
 

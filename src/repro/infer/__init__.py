@@ -51,18 +51,6 @@ def infer_flow(expr, options=None, builtins=None) -> FlowResult:
     return FlowInference(options, builtins).infer_program(expr)
 
 
-def __getattr__(name):
-    # deprecated names, forwarded to the engines-module shims so their
-    # DeprecationWarning fires exactly once per access site
-    if name in ("SESSION_ENGINES", "make_engine"):
-        from . import engines
-
-        return getattr(engines, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
-
-
 __all__ = [
     "CAPABILITIES",
     "CondConstraint",
@@ -89,7 +77,6 @@ __all__ = [
     "PottierError",
     "RemyInference",
     "Poly",
-    "SESSION_ENGINES",
     "SessionEngine",
     "SessionStats",
     "SetRowsResult",
@@ -104,7 +91,6 @@ __all__ = [
     "infer_mycroft",
     "infer_remy",
     "infer_setrows",
-    "make_engine",
     "normalize_signature",
     "solve_with_unification_theory",
     "unknown_engine_message",

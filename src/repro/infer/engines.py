@@ -406,44 +406,3 @@ def _field_fingerprint(state: object) -> str:
     if inner is None:
         return repr(state)
     return f"{type(state).__name__[1:]} {_abstract_fingerprint(inner)}"
-
-
-# ---------------------------------------------------------------------------
-# deprecated registry shims
-# ---------------------------------------------------------------------------
-# The set of engines used to be hard-coded here; it now lives in
-# :data:`repro.infer.registry.REGISTRY`.  ``make_engine`` and the
-# ``SESSION_ENGINES`` tuple are kept as deprecated delegating shims.
-def make_engine(
-    name: str, options: Optional[FlowOptions] = None
-) -> SessionEngine:
-    """Deprecated: use :meth:`EngineRegistry.create_session`."""
-    import warnings
-
-    warnings.warn(
-        "make_engine is deprecated; use "
-        "repro.infer.registry.REGISTRY.create_session",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from .registry import REGISTRY
-
-    return REGISTRY.create_session(name, options)
-
-
-def __getattr__(name: str):
-    if name == "SESSION_ENGINES":
-        import warnings
-
-        warnings.warn(
-            "SESSION_ENGINES is deprecated; use "
-            "repro.infer.registry.REGISTRY.session_names()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from .registry import REGISTRY
-
-        return REGISTRY.session_names()
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )

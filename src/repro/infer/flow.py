@@ -201,8 +201,8 @@ class FlowInference(ExtensionRules):
     def redecorate(self, t: Type) -> Type:
         """⇑RP(⇓RP(t)): fresh flags everywhere, inheriting debug names.
 
-        Name inheritance has no semantic effect; it keeps the diagnostics
-        of :mod:`repro.infer.diagnostics` informative across (VAR) copies.
+        Name inheritance has no semantic effect; it keeps the witness
+        paths of :mod:`repro.diag` informative across (VAR) copies.
         """
         state = self.state
 

@@ -1,13 +1,10 @@
 """The engine registry: one source of truth for inference engine names.
 
-Before this module existed, the set of engines was spelled out in four
-places — ``ENGINES`` in :mod:`repro.cli`, ``SESSION_ENGINES`` and
-:func:`make_engine` in :mod:`repro.infer.engines`, and the daemon's
-config validation — and adding an engine meant touching all of them.
-:data:`REGISTRY` replaces them: every engine registers once with its
-name, a one-line description, its capability flags and its entry points,
-and the CLI (``--engine`` choices, ``rowpoly engines``), the daemon, the
-public API facade and the docs table all derive from it.
+:data:`REGISTRY` is the only place engines are listed: every engine
+registers once with its name, a one-line description, its capability
+flags and its entry points, and the CLI (``--engine`` choices, ``rowpoly
+engines``), the daemon, the public API facade and the docs table all
+derive from it.
 
 Capabilities
 ------------
@@ -24,9 +21,6 @@ Capabilities
 ``unsat_cores``
     Rejections carry minimal unsatisfiable cores (the flow engine's SAT
     backend).
-
-The legacy ``SESSION_ENGINES`` tuple and ``make_engine`` remain in
-:mod:`repro.infer.engines` as deprecated shims over this registry.
 """
 
 from __future__ import annotations

@@ -19,17 +19,20 @@ a type checker.  This package keeps it warm:
 * :mod:`metrics`   — counters, latency histograms and
   :class:`~repro.boolfn.engine.SolverStats` rollups, served by the
   ``stats`` RPC and dumped on shutdown,
-* :mod:`daemon`    — the long-lived process tying it together (stdio and
-  TCP transports),
+* :mod:`endpoint`  — what both servers share: the stdio and TCP
+  transports, frame rejection, the control methods and the drain,
+* :mod:`daemon`    — the long-lived process tying it together: an
+  endpoint that serves checks through the scheduler,
 * :mod:`routing`   — deterministic rendezvous hashing of warm-session
   keys onto shards (the affinity contract, as a pure function),
 * :mod:`shard`     — one daemon running as a spawned worker process,
 * :mod:`router`    — the front process of ``rowpoly serve --shards N``:
-  consistent-hash session affinity over N shard processes, raw-line
-  passthrough (byte parity by construction), fleet-aggregated ``stats``,
-  shard respawn via the same :class:`WorkerSupervisor`,
-* :mod:`client`    — the thin client behind ``rowpoly client`` and
-  ``rowpoly check --server ADDR``.
+  an endpoint that forwards raw lines (byte parity by construction)
+  with consistent-hash session affinity over N shard processes,
+  fleet-aggregated ``stats``, and shard respawn via the same
+  :class:`WorkerSupervisor`,
+* :mod:`client`    — the thin client behind ``rowpoly client``,
+  ``rowpoly check --server ADDR`` and ``rowpoly audit run --server``.
 """
 
 from .client import ServeClient, check_files_via_server

@@ -6,12 +6,12 @@ a request, read lines until the matching ``id`` comes back.  (The daemon
 may interleave responses to pipelined requests; matching by id keeps the
 client correct either way.)
 
-:func:`check_files_via_server` is the batch driver behind
-``rowpoly check --server ADDR``: it reads each file locally, ships the
-source to the daemon, and reassembles payloads of exactly the shape the
-offline checker produces — so the downstream printing/exit-code logic in
-the CLI is shared and the ``--json`` output is byte-identical by
-construction.
+:func:`check_files_batch` is the batch driver behind ``rowpoly audit run
+--server`` and, through :func:`check_files_via_server` (which only reads
+the files locally), ``rowpoly check --server ADDR``: it ships each source
+to the daemon and reassembles payloads of exactly the shape the offline
+checker produces — so the downstream printing/exit-code logic in the CLI
+is shared and the ``--json`` output is byte-identical by construction.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import json
 import socket
 import threading
 import time
+from contextlib import ExitStack
 from random import Random
 from typing import Any, Callable, Optional
 
@@ -335,8 +336,8 @@ def check_files_batch(
 ) -> list[dict[str, Any]]:
     """Fan ``(path, source)`` pairs across a daemon with N connections.
 
-    The batch driver behind ``rowpoly audit run --server``: sources are
-    already in hand (the Discover stage read them), so this only ships
+    The batch driver behind ``rowpoly audit run --server`` and ``rowpoly
+    check --server``: sources are already in hand, so this only ships
     and reassembles.  ``concurrency`` worker threads each own one
     :class:`RetryingClient` (seeded ``retry_seed + worker``, so retry
     jitter stays deterministic per worker) and take the statically
@@ -346,9 +347,11 @@ def check_files_batch(
     a sharded router every connection can land on a different shard,
     which is what keeps a fleet busy from one audit process.
 
-    Per-item failures degrade exactly like
-    :func:`check_files_via_server`: a structured error payload with the
-    usage exit, never an exception that loses the rest of the batch.
+    Every client connects in the calling thread before any work fans
+    out, so an unreachable or malformed address raises here
+    (``OSError``/``ValueError``) instead of failing item by item.  After
+    that, per-item failures degrade to a structured error payload with
+    the usage exit, never an exception that loses the rest of the batch.
     """
     if options is None:
         options = FlowOptions()
@@ -356,52 +359,58 @@ def check_files_batch(
     workers = max(1, min(concurrency, len(items) or 1))
     payloads: list[Optional[dict[str, Any]]] = [None] * len(items)
 
-    def run_worker(worker: int) -> None:
-        with RetryingClient(
-            address, retries=retries, seed=retry_seed + worker
-        ) as client:
-            for index in range(worker, len(items), workers):
-                path, source = items[index]
-                try:
-                    result = client.check(
-                        path,
-                        source,
-                        engine=engine,
-                        options=wire_options,
-                        deadline_ms=deadline_ms,
-                        budget=budget,
-                    )
-                except ServeError as error:
-                    payloads[index] = _error_payload(
-                        path, f"Server{error.name}", str(error)
-                    )
-                    continue
-                except (ConnectionError, OSError) as error:
-                    payloads[index] = _error_payload(
-                        path, "ServerConnectionError", str(error)
-                    )
-                    continue
-                payloads[index] = {
-                    "file": path,
-                    "report": result["report"],
-                    "exit": result["exit"],
-                    "trace": result.get("trace", {}),
-                    "solver_stats": None,
-                }
+    def run_worker(client: RetryingClient, worker: int) -> None:
+        for index in range(worker, len(items), workers):
+            path, source = items[index]
+            try:
+                result = client.check(
+                    path,
+                    source,
+                    engine=engine,
+                    options=wire_options,
+                    deadline_ms=deadline_ms,
+                    budget=budget,
+                )
+            except ServeError as error:
+                payloads[index] = _error_payload(
+                    path, f"Server{error.name}", str(error)
+                )
+                continue
+            except (ConnectionError, OSError) as error:
+                payloads[index] = _error_payload(
+                    path, "ServerConnectionError", str(error)
+                )
+                continue
+            payloads[index] = {
+                "file": path,
+                "report": result["report"],
+                "exit": result["exit"],
+                "trace": result.get("trace", {}),
+                "solver_stats": None,
+            }
 
-    if workers == 1:
-        run_worker(0)
-    else:
-        threads = [
-            threading.Thread(
-                target=run_worker, args=(worker,), daemon=True
+    with ExitStack() as stack:
+        clients = [
+            stack.enter_context(
+                RetryingClient(
+                    address, retries=retries, seed=retry_seed + worker
+                ).connect()
             )
             for worker in range(workers)
         ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        if workers == 1:
+            run_worker(clients[0], 0)
+        else:
+            threads = [
+                threading.Thread(
+                    target=run_worker, args=(client, worker), daemon=True
+                )
+                for worker, client in enumerate(clients)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
     # Positional integrity over convenience: a payload must exist for
     # every input (the Judge stage zips them against the plan), so a
     # slot a dying worker never filled degrades to an error payload.
@@ -428,98 +437,37 @@ def check_files_via_server(
 ) -> list[dict[str, Any]]:
     """Drive a file list through a daemon; payloads match the offline path.
 
-    Each payload is ``{"file", "report", "exit", "trace"}`` plus
-    ``"solver_stats": None`` (per-request solver telemetry stays on the
-    daemon, aggregated under its ``stats`` RPC).  Sources are read locally
-    so a daemon on another mount checks what the caller sees; local read
-    failures produce the offline checker's IOError report without a round
-    trip.
-
-    Retryable-unavailable answers (backpressure, quarantine, worker
-    crash) and connection failures are retried up to ``retries`` times
-    per file with jittered exponential backoff (seeded by
-    ``retry_seed``); requests are idempotent by fingerprint so a retry
-    never double-checks.
+    Sources are read locally, so a daemon on another mount checks what
+    the caller sees; a file that cannot be read gets the offline
+    checker's IOError report without a round trip.  The readable ones go
+    through :func:`check_files_batch` on one connection, in order.
     """
     if read_program is None:
         def read_program(path: str) -> str:
             with open(path) as handle:
                 return handle.read()
 
-    if options is None:
-        options = FlowOptions()
-    wire_options = {"track_fields": options.track_fields, "gc": options.gc}
-    payloads: list[dict[str, Any]] = []
-    with RetryingClient(
-        address, retries=retries, seed=retry_seed
-    ).connect() as client:
-        for path in files:
-            try:
-                source = read_program(path)
-            except OSError as error:
-                payloads.append(
-                    {
-                        "file": path,
-                        "report": {
-                            "file": path,
-                            "ok": False,
-                            "error": "IOError",
-                            "message": str(error),
-                        },
-                        "exit": EXIT_USAGE,
-                        "trace": {},
-                        "solver_stats": None,
-                    }
-                )
-                continue
-            try:
-                result = client.check(
-                    path,
-                    source,
-                    engine=engine,
-                    options=wire_options,
-                    deadline_ms=deadline_ms,
-                    budget=budget,
-                )
-            except ServeError as error:
-                payloads.append(
-                    {
-                        "file": path,
-                        "report": {
-                            "file": path,
-                            "ok": False,
-                            "error": f"Server{error.name}",
-                            "message": str(error),
-                        },
-                        "exit": EXIT_USAGE,
-                        "trace": {},
-                        "solver_stats": None,
-                    }
-                )
-                continue
-            except (ConnectionError, OSError) as error:
-                payloads.append(
-                    {
-                        "file": path,
-                        "report": {
-                            "file": path,
-                            "ok": False,
-                            "error": "ServerConnectionError",
-                            "message": str(error),
-                        },
-                        "exit": EXIT_USAGE,
-                        "trace": {},
-                        "solver_stats": None,
-                    }
-                )
-                continue
-            payloads.append(
-                {
-                    "file": path,
-                    "report": result["report"],
-                    "exit": result["exit"],
-                    "trace": result.get("trace", {}),
-                    "solver_stats": None,
-                }
-            )
-    return payloads
+    payloads: list[Optional[dict[str, Any]]] = []
+    readable: list[tuple[str, str]] = []
+    for path in files:
+        try:
+            readable.append((path, read_program(path)))
+            payloads.append(None)
+        except OSError as error:
+            payloads.append(_error_payload(path, "IOError", str(error)))
+    served = iter(
+        check_files_batch(
+            address,
+            readable,
+            engine=engine,
+            options=options,
+            budget=budget,
+            deadline_ms=deadline_ms,
+            retries=retries,
+            retry_seed=retry_seed,
+        )
+    )
+    return [
+        payload if payload is not None else next(served)
+        for payload in payloads
+    ]

@@ -1,11 +1,12 @@
 """The persistent inference daemon behind ``rowpoly serve``.
 
-One long-lived process, two transports (newline-delimited JSON-RPC over
-stdio or TCP), one shared worker pool.  ``check``/``recheck`` requests go
-through the :class:`~repro.server.scheduler.Scheduler`; the control
-methods (``cancel``, ``stats``, ``ping``, ``shutdown``) are answered
-inline so they work even when the queue is saturated — you can always ask
-a drowning daemon how it is drowning.
+One long-lived process, one shared worker pool, served through the
+:class:`~repro.server.endpoint.Endpoint` transports (newline-delimited
+JSON-RPC over stdio or TCP).  ``check``/``recheck`` requests go through
+the :class:`~repro.server.scheduler.Scheduler`; ``cancel`` and the
+endpoint's control methods (``stats``, ``ping``, ``shutdown``) are
+answered inline so they work even when the queue is saturated — you can
+always ask a drowning daemon how it is drowning.
 
 Request lifecycle for ``check``:
 
@@ -38,15 +39,14 @@ the metrics subsystem dumps its final report.
 
 from __future__ import annotations
 
-import socketserver
-import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from ..diag import codes as diag_codes
 from ..infer.registry import REGISTRY, UnknownEngineError, unknown_engine_message
 from ..infer.state import FlowOptions
+from ..store.keys import options_key
 from ..testing.faults import fault_point
 from ..util import (
     Budget,
@@ -57,9 +57,10 @@ from ..util import (
     tighten,
 )
 from . import protocol
+from .endpoint import Endpoint, Respond
 from .metrics import ServerMetrics
 from .overload import BrownoutController
-from .registry import SessionRegistry, options_key
+from .registry import SessionRegistry
 from .scheduler import Job, Scheduler
 from .service import (
     EXIT_USAGE,
@@ -144,13 +145,40 @@ class DaemonConfig:
             core_queries=self.budget_core_queries,
         )
 
+    def request_options(self, params: dict[str, Any]) -> FlowOptions:
+        """The :class:`FlowOptions` a request's params ask for.
+
+        Tolerant of junk: a non-object ``options`` reads as absent, so
+        quarantine and routing still key requests that validation will
+        reject.
+        """
+        raw = params.get("options", {})
+        if not isinstance(raw, dict):
+            raw = {}
+        return FlowOptions(
+            track_fields=bool(raw.get("track_fields", self.track_fields)),
+            gc=bool(raw.get("gc", self.gc)),
+        )
+
+    def session_key(self, params: dict[str, Any]) -> tuple:
+        """The warm-session key (path, engine, options) a request names.
+
+        Junk-tolerant like :meth:`request_options`; the path is taken as
+        given, whatever its type.
+        """
+        return (
+            params.get("path"),
+            params.get("engine", self.engine),
+            options_key(self.request_options(params)),
+        )
+
 
 class _InvalidParams(Exception):
     pass
 
 
-class Daemon:
-    """The serving loop: transports in, scheduler through, metrics out."""
+class Daemon(Endpoint):
+    """An endpoint that serves checks through its own worker pool."""
 
     def __init__(
         self,
@@ -161,7 +189,7 @@ class Daemon:
         if self.config.engine not in REGISTRY.session_names():
             raise UnknownEngineError(
                 self.config.engine, REGISTRY.session_names())
-        self.metrics = metrics or ServerMetrics()
+        super().__init__(metrics or ServerMetrics())
         self.store = None
         if self.config.store_dir:
             from ..store import open_store
@@ -204,143 +232,47 @@ class Daemon:
             metrics=self.metrics,
             hang_seconds=self.config.hang_seconds,
         )
-        self.shutdown_requested = threading.Event()
-        self.drained = threading.Event()
-        self._shutdown_lock = threading.Lock()
-        self._tcp_server: Optional[socketserver.ThreadingTCPServer] = None
+
+    def start(self) -> None:
+        self.scheduler.start()
+        self.supervisor.start()
 
     # ------------------------------------------------------------------
     # request handling
     # ------------------------------------------------------------------
     def handle_line(
-        self,
-        line: str,
-        respond: Callable[[dict[str, Any]], None],
-        client: object = None,
+        self, line: str, respond: Respond, client: Any = None
     ) -> None:
-        """Decode and dispatch one request line (transport-agnostic)."""
-        line = line.strip()
-        if not line:
-            return
-        # Chaos hook: an "exit" rule here kills the whole process mid
-        # request — the shard-death site the sharded router's chaos
-        # suite drives (a thread-level "crash" only costs one worker).
-        fault_point("daemon.handle")
-        try:
-            request = protocol.parse_request(line)
-        except protocol.ProtocolError as error:
-            self.metrics.record_request("?", "invalid")
-            self.metrics.record_robustness("frames_rejected")
-            respond(
-                protocol.error_response(
-                    error.request_id,
-                    error.code,
-                    str(error),
-                    {"rp": diag_codes.MALFORMED_FRAME},
-                )
-            )
-            return
-        self._dispatch(request, respond, client)
+        if line.strip():
+            # Chaos hook: an "exit" rule here kills the whole process mid
+            # request — the shard-death site the sharded router's chaos
+            # suite drives (a thread-level "crash" only costs one worker).
+            fault_point("daemon.handle")
+        super().handle_line(line, respond, client)
 
-    def reject_frame(
-        self,
-        error: protocol.ProtocolError,
-        respond: Callable[[dict[str, Any]], None],
-    ) -> None:
-        """Answer an unparseable/oversized frame without dispatching it."""
-        self.metrics.record_request("?", "invalid")
-        self.metrics.record_robustness("frames_rejected")
-        respond(
-            protocol.error_response(
-                error.request_id,
-                error.code,
-                str(error),
-                {"rp": diag_codes.MALFORMED_FRAME},
-            )
-        )
-
-    def _dispatch(
+    def serve_request(
         self,
         request: protocol.Request,
-        respond: Callable[[dict[str, Any]], None],
-        client: object,
+        line: str,
+        respond: Respond,
+        client: Any,
     ) -> None:
-        method = request.method
-        if method in ("check", "recheck"):
-            self._dispatch_check(request, respond, client)
-        elif method == "cancel":
+        if request.method == "cancel":
             target = request.params.get("id")
             cancelled = self.scheduler.cancel(client, target)
             self.metrics.record_request("cancel", "ok")
             respond(protocol.ok_response(request.id, {"cancelled": cancelled}))
-        elif method == "stats":
-            self.metrics.record_request("stats", "ok")
-            respond(protocol.ok_response(request.id, self.stats_snapshot()))
-        elif method == "ping":
-            respond(protocol.ok_response(request.id, {"pong": True}))
-        elif method == "shutdown":
-            # Answer first — the drain below may be the last thing we do.
-            respond(
-                protocol.ok_response(
-                    request.id, {"ok": True, "draining": True}
-                )
-            )
-            self.request_shutdown()
-        else:
-            self.metrics.record_request(method, "invalid")
-            respond(
-                protocol.error_response(
-                    request.id,
-                    protocol.METHOD_NOT_FOUND,
-                    f"unknown method {method!r}",
-                )
-            )
-
-    def _dispatch_check(
-        self,
-        request: protocol.Request,
-        respond: Callable[[dict[str, Any]], None],
-        client: object,
-    ) -> None:
-        deadline_ms = request.params.get("deadline_ms", self.config.deadline_ms)
-        if deadline_ms is not None and (
-            not isinstance(deadline_ms, (int, float)) or deadline_ms <= 0
-        ):
+            return
+        try:
+            deadline_ms, budget = self._admission_params(request.params)
+        except _InvalidParams as error:
             self.metrics.record_request(request.method, "invalid")
             respond(
                 protocol.error_response(
-                    request.id,
-                    protocol.INVALID_PARAMS,
-                    "'deadline_ms' must be a positive number",
+                    request.id, protocol.INVALID_PARAMS, str(error)
                 )
             )
             return
-        raw_budget = request.params.get("budget")
-        if raw_budget is not None and not isinstance(raw_budget, dict):
-            self.metrics.record_request(request.method, "invalid")
-            respond(
-                protocol.error_response(
-                    request.id,
-                    protocol.INVALID_PARAMS,
-                    "'budget' must be a JSON object",
-                )
-            )
-            return
-        if raw_budget is not None:
-            try:
-                budget = Budget.from_params(raw_budget)
-            except ValueError as error:
-                self.metrics.record_request(request.method, "invalid")
-                respond(
-                    protocol.error_response(
-                        request.id,
-                        protocol.INVALID_PARAMS,
-                        f"bad 'budget': {error}",
-                    )
-                )
-                return
-        else:
-            budget = self.config.default_budget()
         retry = request.params.get("retry")
         if isinstance(retry, int) and retry > 0:
             self.metrics.record_robustness("client_retries")
@@ -400,14 +332,26 @@ class Daemon:
                 )
             )
         elif verdict == "shutting-down":
-            self.metrics.record_request(request.method, "rejected")
-            respond(
-                protocol.error_response(
-                    request.id,
-                    protocol.SHUTTING_DOWN,
-                    "daemon is draining; no new requests accepted",
-                )
-            )
+            self.refuse_draining(request, respond)
+
+    def _admission_params(
+        self, params: dict[str, Any]
+    ) -> tuple[Optional[float], Optional[Budget]]:
+        """A request's ``deadline_ms`` and budget, validated at submit."""
+        deadline_ms = params.get("deadline_ms", self.config.deadline_ms)
+        if deadline_ms is not None and (
+            not isinstance(deadline_ms, (int, float)) or deadline_ms <= 0
+        ):
+            raise _InvalidParams("'deadline_ms' must be a positive number")
+        raw_budget = params.get("budget")
+        if raw_budget is None:
+            return deadline_ms, self.config.default_budget()
+        if not isinstance(raw_budget, dict):
+            raise _InvalidParams("'budget' must be a JSON object")
+        try:
+            return deadline_ms, Budget.from_params(raw_budget)
+        except ValueError as error:
+            raise _InvalidParams(f"bad 'budget': {error}") from None
 
     # ------------------------------------------------------------------
     # the scheduler's handler (runs on worker threads)
@@ -424,43 +368,25 @@ class Daemon:
             raise _InvalidParams(
                 unknown_engine_message(engine, REGISTRY.session_names())
             )
-        raw_options = params.get("options", {})
-        if not isinstance(raw_options, dict):
+        if not isinstance(params.get("options", {}), dict):
             raise _InvalidParams("'options' must be a JSON object")
-        options = FlowOptions(
-            track_fields=bool(
-                raw_options.get("track_fields", self.config.track_fields)
-            ),
-            gc=bool(raw_options.get("gc", self.config.gc)),
-        )
-        return path, source, engine, options
+        return path, source, engine, self.config.request_options(params)
 
-    def _session_key(self, params: dict[str, Any]) -> Optional[tuple]:
-        """The registry key a request resolves to, or ``None`` on junk.
+    def _quarantine_key(self, params: dict[str, Any]) -> Optional[tuple]:
+        """The session key quarantine books a request under, or ``None``
+        (quarantine off, or no usable path).
 
         Deliberately tolerant: quarantine bookkeeping must work even for
         requests that die before (or during) validation.
         """
         path = params.get("path")
-        if not isinstance(path, str) or not path:
+        if self.quarantine is None or not isinstance(path, str) or not path:
             return None
-        engine = params.get("engine", self.config.engine)
-        raw_options = params.get("options", {})
-        if not isinstance(raw_options, dict):
-            raw_options = {}
-        options = FlowOptions(
-            track_fields=bool(
-                raw_options.get("track_fields", self.config.track_fields)
-            ),
-            gc=bool(raw_options.get("gc", self.config.gc)),
-        )
-        return (path, engine, options_key(options))
+        return self.config.session_key(params)
 
     def _record_crash_strike(self, job: Job) -> None:
         """Scheduler callback: a worker died serving ``job``."""
-        if self.quarantine is None:
-            return
-        key = self._session_key(job.params)
+        key = self._quarantine_key(job.params)
         if key is not None:
             self.quarantine.record_failure(key)
 
@@ -539,8 +465,8 @@ class Daemon:
             # when intake has gone quiet (the queue drained).
             self._observe_pressure()
 
-        quarantine_key = self._session_key(job.params)
-        if self.quarantine is not None and quarantine_key is not None:
+        quarantine_key = self._quarantine_key(job.params)
+        if quarantine_key is not None:
             remaining = self.quarantine.blocked(quarantine_key)
             if remaining is not None:
                 finish("quarantined")
@@ -654,7 +580,7 @@ class Daemon:
             # directly into serving code) is still answered structurally.
             finish("aborted")
             self.metrics.record_robustness("budget_exceeded")
-            if self.quarantine is not None and quarantine_key is not None:
+            if quarantine_key is not None:
                 self.quarantine.record_failure(quarantine_key)
             return protocol.error_response(
                 job.id,
@@ -667,7 +593,7 @@ class Daemon:
             )
         except Exception as error:  # noqa: BLE001 — answered, not fatal
             finish("error")
-            if self.quarantine is not None and quarantine_key is not None:
+            if quarantine_key is not None:
                 # Internal errors (not type errors!) count as strikes: a
                 # module that keeps blowing up the engine gets benched.
                 self.quarantine.record_failure(quarantine_key)
@@ -688,7 +614,7 @@ class Daemon:
         if aborted:
             finish("aborted")
             self.metrics.record_robustness("budget_exceeded")
-            if self.quarantine is not None and quarantine_key is not None:
+            if quarantine_key is not None:
                 # A brownout abort is the daemon's doing, not the
                 # module's: it must not strike the session toward
                 # quarantine.
@@ -696,7 +622,7 @@ class Daemon:
                     self.quarantine.record_failure(quarantine_key)
         else:
             finish("ok")
-            if self.quarantine is not None and quarantine_key is not None:
+            if quarantine_key is not None:
                 self.quarantine.record_success(quarantine_key)
         return self._check_response(job, outcome, cached, aborted, degraded)
 
@@ -727,129 +653,17 @@ class Daemon:
         return protocol.ok_response(job.id, result)
 
     # ------------------------------------------------------------------
-    # transports
-    # ------------------------------------------------------------------
-    def serve_stdio(self, stdin=None, stdout=None) -> None:
-        """Serve newline-delimited JSON-RPC on stdio until EOF/shutdown."""
-        import sys
-
-        stdin = stdin if stdin is not None else sys.stdin
-        stdout = stdout if stdout is not None else sys.stdout
-        self.scheduler.start()
-        self.supervisor.start()
-        write_lock = threading.Lock()
-
-        def respond(message: dict[str, Any]) -> None:
-            data = protocol.encode(message)
-            with write_lock:
-                stdout.write(data)
-                stdout.flush()
-
-        for line, frame_error in protocol.iter_frames(stdin):
-            if frame_error is not None:
-                self.reject_frame(frame_error, respond)
-            else:
-                self.handle_line(line, respond, client="stdio")
-            if self.shutdown_requested.is_set():
-                break
-        self._drain()
-
-    def serve_tcp(
-        self, host: str = "127.0.0.1", port: int = 0, background: bool = False
-    ) -> tuple[str, int]:
-        """Serve over TCP; returns the bound (host, port).
-
-        ``background=True`` runs the accept loop on a thread (tests and
-        benchmarks); otherwise this blocks until shutdown.
-        """
-        daemon = self
-
-        class _Handler(socketserver.StreamRequestHandler):
-            def handle(self) -> None:
-                write_lock = threading.Lock()
-                client_tag = object()  # namespaces request ids per connection
-
-                def respond(message: dict[str, Any]) -> None:
-                    data = protocol.encode(message).encode()
-                    with write_lock:
-                        self.wfile.write(data)
-                        self.wfile.flush()
-
-                for line, frame_error in protocol.iter_frames(self.rfile):
-                    if frame_error is not None:
-                        daemon.reject_frame(frame_error, respond)
-                    else:
-                        daemon.handle_line(line, respond, client_tag)
-                    if daemon.shutdown_requested.is_set():
-                        break
-
-        class _Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
-        self.scheduler.start()
-        self.supervisor.start()
-        server = _Server((host, port), _Handler)
-        self._tcp_server = server
-        bound = server.server_address[:2]
-        if background:
-            thread = threading.Thread(
-                target=server.serve_forever,
-                name="rowpoly-acceptor",
-                daemon=True,
-            )
-            thread.start()
-        else:
-            try:
-                server.serve_forever()
-            finally:
-                server.server_close()
-        return bound
-
-    # ------------------------------------------------------------------
     # shutdown
     # ------------------------------------------------------------------
-    def request_shutdown(self) -> None:
-        """Begin a graceful shutdown without blocking the caller.
-
-        Safe from RPC dispatch, signal handlers and tests alike; the
-        actual drain runs on its own thread and is done exactly once.
-        """
-        with self._shutdown_lock:
-            if self.shutdown_requested.is_set():
-                return
-            self.shutdown_requested.set()
-        threading.Thread(
-            target=self._drain, name="rowpoly-drain", daemon=False
-        ).start()
-
-    def _drain(self) -> None:
-        with self._shutdown_lock:
-            if self.drained.is_set():
-                return
-            self.shutdown_requested.set()
-            self.supervisor.stop(timeout=1.0)
-            clean = self.scheduler.drain(timeout=self.config.drain_timeout)
-            if self.brownout is not None:
-                # Close the books on an in-progress brownout spell so
-                # the final metrics dump accounts every degraded second.
-                leftover = self.brownout.flush()
-                if leftover:
-                    self.metrics.record_overload_event(
-                        "brownout_seconds", leftover
-                    )
-            server, self._tcp_server = self._tcp_server, None
-            if server is not None:
-                server.shutdown()
-                server.server_close()
-            self.drained.set()
-        if not clean:  # pragma: no cover - only on a wedged worker
-            import sys
-
-            print(
-                "rowpoly serve: drain timed out with requests in flight",
-                file=sys.stderr,
-            )
-
-    def wait_drained(self, timeout: Optional[float] = None) -> bool:
-        return self.drained.wait(timeout)
+    def drain_work(self) -> bool:
+        self.supervisor.stop(timeout=1.0)
+        clean = self.scheduler.drain(timeout=self.config.drain_timeout)
+        if self.brownout is not None:
+            # Close the books on an in-progress brownout spell so the
+            # final metrics dump accounts every degraded second.
+            leftover = self.brownout.flush()
+            if leftover:
+                self.metrics.record_overload_event(
+                    "brownout_seconds", leftover
+                )
+        return clean

@@ -15,8 +15,9 @@ next to an inference request):
   (:meth:`SolverStats.merge`), the daemon-lifetime analogue of
   ``rowpoly check --solver-stats``.
 
-:meth:`ServerMetrics.snapshot` is the payload of the ``stats`` RPC;
-:meth:`ServerMetrics.render_text` is what the daemon dumps on SIGTERM.
+:meth:`ServerMetrics.snapshot` is the core of the ``stats`` RPC payload;
+:func:`render_snapshot` renders such a payload (a daemon's or a fleet's)
+as the text dump written on SIGTERM.
 :func:`aggregate_snapshots` folds several snapshots into one fleet view —
 the sharded router's ``stats`` RPC serves the aggregate of its shards
 (plus its own local counters) alongside the per-shard snapshots.
@@ -68,6 +69,13 @@ def _sum_trees(trees: list) -> object:
     return trees[0] if trees else None
 
 
+def _hit_rate(counters: dict) -> float:
+    """hits / (hits + misses), 0.0 before the first lookup."""
+    hits = counters.get("hits", 0)
+    lookups = hits + counters.get("misses", 0)
+    return hits / lookups if lookups else 0.0
+
+
 def aggregate_snapshots(snapshots: list[dict]) -> dict:
     """One fleet-wide view of several :meth:`ServerMetrics.snapshot` dicts.
 
@@ -95,18 +103,11 @@ def aggregate_snapshots(snapshots: list[dict]) -> dict:
     # Ratios are recomputed from the summed counters, never averaged —
     # an average of per-shard hit rates weights an idle shard the same
     # as a busy one.
-    sessions = _sum_trees([s.get("sessions", {}) for s in snapshots])
-    if isinstance(sessions, dict):
-        hits = sessions.get("hits", 0)
-        lookups = hits + sessions.get("misses", 0)
-        sessions["hit_rate"] = hits / lookups if lookups else 0.0
-    aggregate["sessions"] = sessions
-    store = _sum_trees([s.get("store", {}) for s in snapshots])
-    if isinstance(store, dict):
-        hits = store.get("hits", 0)
-        lookups = hits + store.get("misses", 0)
-        store["hit_rate"] = hits / lookups if lookups else 0.0
-    aggregate["store"] = store
+    for section in ("sessions", "store"):
+        summed = _sum_trees([s.get(section, {}) for s in snapshots])
+        if isinstance(summed, dict):
+            summed["hit_rate"] = _hit_rate(summed)
+        aggregate[section] = summed
     latency: dict[str, dict] = {}
     for snapshot in snapshots:
         for method, split in (snapshot.get("latency") or {}).items():
@@ -150,7 +151,8 @@ class Histogram:
             self.max = seconds
 
     def percentile(self, q: float) -> float:
-        """The q-th percentile (0 < q < 1), linearly interpolated."""
+        """The q-th percentile (0 < q < 1), linearly interpolated and
+        never above the observed maximum."""
         if self.count == 0:
             return 0.0
         rank = q * self.count
@@ -166,7 +168,9 @@ class Histogram:
                     else self.max
                 )
                 fraction = (rank - seen) / bucket_count
-                return lower + (upper - lower) * fraction
+                # Interpolation runs to the bucket's upper bound, which
+                # may lie above every sample the bucket actually holds.
+                return min(lower + (upper - lower) * fraction, self.max)
             seen += bucket_count
         return self.max
 
@@ -337,10 +341,6 @@ class ServerMetrics:
     def snapshot(self) -> dict[str, object]:
         """JSON-ready view; the ``stats`` RPC result."""
         with self._lock:
-            hits, misses = self._sessions["hits"], self._sessions["misses"]
-            lookups = hits + misses
-            store_hits = self._store.get("hits", 0)
-            store_lookups = store_hits + self._store.get("misses", 0)
             return {
                 "uptime_seconds": time.monotonic() - self._started,
                 "requests": {
@@ -360,14 +360,9 @@ class ServerMetrics:
                 },
                 "sessions": {
                     **self._sessions,
-                    "hit_rate": hits / lookups if lookups else 0.0,
+                    "hit_rate": _hit_rate(self._sessions),
                 },
-                "store": {
-                    **self._store,
-                    "hit_rate": (
-                        store_hits / store_lookups if store_lookups else 0.0
-                    ),
-                },
+                "store": {**self._store, "hit_rate": _hit_rate(self._store)},
                 "solver": {
                     "rollup": self._solver.as_dict(),
                     "merged_runs": self._solver_merges,
@@ -379,81 +374,88 @@ class ServerMetrics:
             }
 
     def render_text(self) -> str:
-        """The human-readable dump written at shutdown."""
-        snap = self.snapshot()
-        lines = [
-            "rowpoly serve metrics "
-            f"(uptime {snap['uptime_seconds']:.1f}s)",
-        ]
-        for method, statuses in snap["requests"].items():
-            total = sum(statuses.values())
-            detail = ", ".join(
-                f"{status}={count}"
-                for status, count in sorted(statuses.items())
-                if count
-            )
-            lines.append(f"  {method}: {total} requests ({detail})")
-            latency = snap["latency"].get(method)
-            if latency:
-                service = latency["service"]
-                lines.append(
-                    f"    service p50={service['p50'] * 1000:.1f}ms "
-                    f"p90={service['p90'] * 1000:.1f}ms "
-                    f"p99={service['p99'] * 1000:.1f}ms "
-                    f"max={service['max'] * 1000:.1f}ms"
-                )
-        sessions = snap["sessions"]
+        """The human-readable dump of :meth:`snapshot`."""
+        return render_snapshot(self.snapshot())
+
+
+def _counts(section: dict) -> str:
+    """``name=count`` for each non-zero counter, floats to 3 places."""
+    return ", ".join(
+        f"{name}={count:.3f}" if isinstance(count, float)
+        else f"{name}={count}"
+        for name, count in sorted(section.items())
+        if count
+    )
+
+
+def render_snapshot(snap: dict) -> str:
+    """The human-readable dump of a ``stats`` payload.
+
+    One renderer for a daemon's snapshot and a fleet aggregate alike; a
+    fleet (a snapshot with a ``router`` section) adds its ``shards:``
+    and ``breakers:`` lines.  Aggregated latency carries no
+    percentiles, so its percentile line is left out.
+    """
+    router = snap.get("router")
+    sharded = "sharded; " if router else ""
+    lines = [
+        "rowpoly serve metrics "
+        f"({sharded}uptime {snap.get('uptime_seconds', 0.0):.1f}s)",
+    ]
+    if router:
         lines.append(
-            f"  sessions: hit_rate={sessions['hit_rate']:.2f} "
-            f"(hits={sessions['hits']}, misses={sessions['misses']}, "
-            f"evictions={sessions['evictions']}, "
-            f"invalidations={sessions['invalidations']})"
+            f"  shards: {router['live_shards']}/{router['shards']} live, "
+            f"restarts={router['restarts']}, "
+            f"routed={router['routed'] or {}}"
         )
-        store = snap["store"]
-        if any(v for k, v in store.items() if k != "hit_rate"):
+        if router.get("breakers"):
+            detail = ", ".join(
+                f"{index}={state}"
+                for index, state in router["breakers"].items()
+            )
+            transitions = len(router.get("breaker_transitions") or [])
             lines.append(
-                f"  store: hit_rate={store['hit_rate']:.2f} "
-                f"(hits={store['hits']}, misses={store['misses']}, "
-                f"evictions={store['evictions']}, "
-                f"corrupt_entries={store['corrupt_entries']})"
+                f"  breakers: {detail} ({transitions} transitions)"
             )
-        solver = snap["solver"]["rollup"]
+    latency = snap.get("latency") or {}
+    for method, statuses in sorted((snap.get("requests") or {}).items()):
+        total = sum(statuses.values())
+        lines.append(f"  {method}: {total} requests ({_counts(statuses)})")
+        service = (latency.get(method) or {}).get("service") or {}
+        if "p50" in service:
+            lines.append(
+                f"    service p50={service['p50'] * 1000:.1f}ms "
+                f"p90={service['p90'] * 1000:.1f}ms "
+                f"p99={service['p99'] * 1000:.1f}ms "
+                f"max={service['max'] * 1000:.1f}ms"
+            )
+    sessions = snap.get("sessions") or {}
+    lines.append(
+        f"  sessions: hit_rate={sessions.get('hit_rate', 0.0):.2f} "
+        f"(hits={sessions.get('hits', 0)}, "
+        f"misses={sessions.get('misses', 0)}, "
+        f"evictions={sessions.get('evictions', 0)}, "
+        f"invalidations={sessions.get('invalidations', 0)})"
+    )
+    store = snap.get("store") or {}
+    if any(v for k, v in store.items() if k != "hit_rate"):
         lines.append(
-            f"  solver: queries={solver['queries']} "
-            f"conflicts={solver['conflicts']} "
-            f"propagations={solver['propagations']} "
-            f"cache_hits={solver['cache_hits']} "
-            f"wall={solver['wall_seconds']:.3f}s"
+            f"  store: hit_rate={store.get('hit_rate', 0.0):.2f} "
+            f"(hits={store.get('hits', 0)}, "
+            f"misses={store.get('misses', 0)}, "
+            f"evictions={store.get('evictions', 0)}, "
+            f"corrupt_entries={store.get('corrupt_entries', 0)})"
         )
-        if snap["diagnostics"]:
-            detail = ", ".join(
-                f"{code}={count}"
-                for code, count in snap["diagnostics"].items()
-            )
-            lines.append(f"  diagnostics: {detail}")
-        robustness = snap["robustness"]
-        if any(robustness.values()):
-            detail = ", ".join(
-                f"{name}={count}"
-                for name, count in robustness.items()
-                if count
-            )
-            lines.append(f"  robustness: {detail}")
-        overload = snap.get("overload") or {}
-        if any(overload.values()):
-            detail = ", ".join(
-                f"{name}={count:.3f}" if isinstance(count, float)
-                else f"{name}={count}"
-                for name, count in overload.items()
-                if count
-            )
-            lines.append(f"  overload: {detail}")
-        audit = snap.get("audit") or {}
-        if any(audit.values()):
-            detail = ", ".join(
-                f"{name}={count}"
-                for name, count in audit.items()
-                if count
-            )
-            lines.append(f"  audit: {detail}")
-        return "\n".join(lines)
+    solver = (snap.get("solver") or {}).get("rollup") or {}
+    lines.append(
+        f"  solver: queries={solver.get('queries', 0)} "
+        f"conflicts={solver.get('conflicts', 0)} "
+        f"propagations={solver.get('propagations', 0)} "
+        f"cache_hits={solver.get('cache_hits', 0)} "
+        f"wall={solver.get('wall_seconds', 0.0):.3f}s"
+    )
+    for section in ("diagnostics", "robustness", "overload", "audit"):
+        detail = _counts(snap.get(section) or {})
+        if detail:
+            lines.append(f"  {section}: {detail}")
+    return "\n".join(lines)

@@ -18,10 +18,12 @@ is a thin line-forwarding plane:
   :func:`~repro.server.service.check_source` as the offline checker, so
   ``check --server --json`` stays byte-identical to offline for every
   shard count — parity by construction, twice over;
-* **fan-out control traffic** — ``stats`` aggregates all shards (plus the
-  router's own counters) via
-  :func:`~repro.server.metrics.aggregate_snapshots`; ``ping``/unknown
-  methods are answered locally; ``shutdown`` drains the fleet;
+* **one endpoint** — transports, frame rejection, the control methods
+  and the drain are the :class:`~repro.server.endpoint.Endpoint` the
+  daemon runs too; the router supplies raw-line forwarding for
+  ``check``/``recheck``/``cancel``, and its ``stats`` aggregates all
+  shards (plus the router's own counters) via
+  :func:`~repro.server.metrics.aggregate_snapshots`;
 * **failure containment** — the PR 5 :class:`WorkerSupervisor` monitors
   the shard *processes* (same jittered-backoff respawn loop that it runs
   over worker threads inside each shard): a dead shard is respawned, its
@@ -41,56 +43,35 @@ bookkeeping — which is what lets N shards scale to N cores.
 from __future__ import annotations
 
 import socket
-import socketserver
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Optional
 
-from ..diag import codes as diag_codes
-from ..infer.state import FlowOptions
 from . import protocol
 from ..testing.faults import fault_point
 from .client import ServeClient
 from .daemon import DaemonConfig
+from .endpoint import Connection, Endpoint, Respond
 from .metrics import ServerMetrics, aggregate_snapshots
 from .overload import BreakerConfig, HealthProber
-from .registry import options_key
 from .routing import routing_key, shard_for
 from .shard import shard_main, spawn_context
 from .supervisor import WorkerSupervisor
 
 
 @dataclass
-class RouterConfig:
+class RouterConfig(DaemonConfig):
     """Tunables of one sharded-serving fleet.
 
-    The per-shard fields mirror :class:`DaemonConfig` — every shard gets
-    an identical configuration (``workers`` threads, ``sessions`` LRU
-    slots, ``queue_limit`` backlog *each*).
+    The inherited :class:`DaemonConfig` fields are every shard's
+    configuration — ``workers`` threads, ``sessions`` LRU slots,
+    ``queue_limit`` backlog *each*, and one ``store_dir`` shared by all
+    shards (the store is multi-process safe: atomic-rename writes,
+    advisory locking on gc only).  The fields below are the fleet's own.
     """
 
     shards: int = 2
-    engine: str = "flow"
-    workers: int = 2
-    queue_limit: int = 16
-    sessions: int = 32
-    deadline_ms: Optional[float] = None
-    track_fields: bool = True
-    gc: bool = True
-    drain_timeout: float = 30.0
-    budget_ms: Optional[float] = None
-    budget_solver_steps: Optional[int] = None
-    budget_max_clauses: Optional[int] = None
-    budget_core_queries: Optional[int] = None
-    quarantine_threshold: int = 3
-    quarantine_ttl: float = 30.0
-    #: Shard-local cooperative hang watchdog (forwarded to each shard).
-    hang_seconds: Optional[float] = None
-    #: Persistent result store directory, shared by *all* shards (the
-    #: store is multi-process safe: atomic-rename writes, advisory
-    #: locking on gc only).  ``None`` = memory-only.
-    store_dir: Optional[str] = None
     #: Router-level process watchdog: kill a shard whose forwarded
     #: request has been unanswered this long (``None`` = trust the
     #: shard-local mechanisms).  This is the last line of defence — it
@@ -113,13 +94,6 @@ class RouterConfig:
     breaker_latency_ms: float = 250.0
     #: Open → half-open recovery timer.
     breaker_recovery_seconds: float = 5.0
-    #: Shard-side overload control, forwarded into every shard's
-    #: :class:`DaemonConfig` (see those fields for semantics).
-    shed: bool = False
-    brownout_threshold: Optional[float] = None
-    brownout_window: float = 1.0
-    brownout_exit_ratio: float = 0.5
-    brownout_budget_ms: float = 500.0
 
     def breaker_config(self) -> BreakerConfig:
         return BreakerConfig(
@@ -131,27 +105,7 @@ class RouterConfig:
     def daemon_config(self) -> DaemonConfig:
         """The :class:`DaemonConfig` every shard process runs."""
         return DaemonConfig(
-            engine=self.engine,
-            workers=self.workers,
-            queue_limit=self.queue_limit,
-            sessions=self.sessions,
-            deadline_ms=self.deadline_ms,
-            track_fields=self.track_fields,
-            gc=self.gc,
-            drain_timeout=self.drain_timeout,
-            budget_ms=self.budget_ms,
-            budget_solver_steps=self.budget_solver_steps,
-            budget_max_clauses=self.budget_max_clauses,
-            budget_core_queries=self.budget_core_queries,
-            quarantine_threshold=self.quarantine_threshold,
-            quarantine_ttl=self.quarantine_ttl,
-            hang_seconds=self.hang_seconds,
-            store_dir=self.store_dir,
-            shed=self.shed,
-            brownout_threshold=self.brownout_threshold,
-            brownout_window=self.brownout_window,
-            brownout_exit_ratio=self.brownout_exit_ratio,
-            brownout_budget_ms=self.brownout_budget_ms,
+            **{f.name: getattr(self, f.name) for f in fields(DaemonConfig)}
         )
 
 
@@ -364,6 +318,10 @@ class _ShardLink:
             daemon=True,
         ).start()
 
+    def serves(self, generation: int) -> bool:
+        """Still open, to the shard generation a request was sent to."""
+        return not self.dead and self.generation == generation
+
     def send(self, line: str) -> None:
         with self._write_lock:
             self._writer.write(line if line.endswith("\n") else line + "\n")
@@ -391,81 +349,23 @@ class _ShardLink:
             self.owner.link_died(self)
 
 
-class _ClientConn:
+class _ClientConn(Connection):
     """Router-side state of one client connection (TCP or stdio)."""
 
     def __init__(
         self, router: "Router", write: Callable[[str], None]
     ) -> None:
+        super().__init__(write)
         self.router = router
-        self._write = write
-        self._write_lock = threading.Lock()
         self._lock = threading.Lock()
         self._links: dict[int, _ShardLink] = {}
         self._inflight: dict[object, _Inflight] = {}
-
-    # -- client-facing output ------------------------------------------
-    def respond_raw(self, line: str) -> None:
-        with self._write_lock:
-            try:
-                self._write(line)
-            except (OSError, ValueError):
-                pass  # client went away; shards still finish their work
-
-    def respond_json(self, message: dict[str, Any]) -> None:
-        self.respond_raw(protocol.encode(message))
-
-    # -- intake ---------------------------------------------------------
-    def handle_frame_error(self, error: protocol.ProtocolError) -> None:
-        self.router.reject_frame(error, self.respond_json)
-
-    def handle_line(self, line: str) -> None:
-        stripped = line.strip()
-        if not stripped:
-            return
-        try:
-            request = protocol.parse_request(stripped)
-        except protocol.ProtocolError as error:
-            self.router.reject_frame(error, self.respond_json)
-            return
-        method = request.method
-        if method in ("check", "recheck"):
-            self._forward_check(line, request)
-        elif method == "cancel":
-            self._forward_cancel(line, request)
-        elif method == "stats":
-            self.router.metrics.record_request("stats", "ok")
-            self.respond_json(
-                protocol.ok_response(
-                    request.id, self.router.stats_snapshot()
-                )
-            )
-        elif method == "ping":
-            self.respond_json(
-                protocol.ok_response(request.id, {"pong": True})
-            )
-        elif method == "shutdown":
-            self.respond_json(
-                protocol.ok_response(
-                    request.id, {"ok": True, "draining": True}
-                )
-            )
-            self.router.request_shutdown()
-        else:
-            self.router.metrics.record_request(method, "invalid")
-            self.respond_json(
-                protocol.error_response(
-                    request.id,
-                    protocol.METHOD_NOT_FOUND,
-                    f"unknown method {method!r}",
-                )
-            )
 
     # -- the forwarding plane ------------------------------------------
     def _shard_down(self, request: protocol.Request, why: str) -> None:
         self.router.metrics.record_request(request.method, "crashed")
         self.router.metrics.record_robustness("forward_errors")
-        self.respond_json(
+        self.respond(
             protocol.error_response(
                 request.id,
                 protocol.WORKER_CRASHED,
@@ -477,11 +377,7 @@ class _ClientConn:
     def _link_for(self, handle: ShardHandle) -> Optional[_ShardLink]:
         with self._lock:
             link = self._links.get(handle.index)
-            if (
-                link is not None
-                and not link.dead
-                and link.generation == handle.generation
-            ):
+            if link is not None and link.serves(handle.generation):
                 return link
         try:
             built = _ShardLink(
@@ -491,30 +387,18 @@ class _ClientConn:
             return None
         with self._lock:
             link = self._links.get(handle.index)
-            if (
-                link is not None
-                and not link.dead
-                and link.generation == handle.generation
-            ):
-                pass  # lost a benign race; use the winner
-            else:
+            if link is None or not link.serves(handle.generation):
                 self._links[handle.index] = link = built
+            # else: lost a benign race; use the winner
         if link is not built:
             built.close()
         return link
 
-    def _forward_check(
+    def forward_check(
         self, line: str, request: protocol.Request
     ) -> None:
         if self.router.shutdown_requested.is_set():
-            self.router.metrics.record_request(request.method, "rejected")
-            self.respond_json(
-                protocol.error_response(
-                    request.id,
-                    protocol.SHUTTING_DOWN,
-                    "daemon is draining; no new requests accepted",
-                )
-            )
+            self.router.refuse_draining(request, self.respond)
             return
         try:
             # In-process-only chaos hook (the router deliberately never
@@ -549,40 +433,29 @@ class _ClientConn:
                 request, f"shard {handle.index} dropped the connection"
             )
 
-    def _forward_cancel(
+    def forward_cancel(
         self, line: str, request: protocol.Request
     ) -> None:
         target = request.params.get("id")
         with self._lock:
             entry = self._inflight.get(target)
             link = None if entry is None else self._links.get(entry.shard)
-        if (
-            entry is None
-            or link is None
-            or link.dead
-            or link.generation != entry.generation
-        ):
-            # Nothing in flight (or its shard is gone, which answers the
-            # request anyway): same answer the daemon gives for an
-            # unknown id.
-            self.router.metrics.record_request("cancel", "ok")
-            self.respond_json(
-                protocol.ok_response(request.id, {"cancelled": False})
-            )
-            return
-        with self._lock:
-            self._inflight[request.id] = _Inflight(
-                request.id, "cancel", link
-            )
-        try:
-            link.send(line)
-        except (OSError, ValueError):
-            with self._lock:
-                self._inflight.pop(request.id, None)
-            self.router.metrics.record_request("cancel", "ok")
-            self.respond_json(
-                protocol.ok_response(request.id, {"cancelled": False})
-            )
+            live = link is not None and link.serves(entry.generation)
+            if live:
+                self._inflight[request.id] = _Inflight(
+                    request.id, "cancel", link
+                )
+        if live:
+            try:
+                link.send(line)
+                return
+            except (OSError, ValueError):
+                with self._lock:
+                    self._inflight.pop(request.id, None)
+        # Nothing in flight (or its shard is gone, which answers the
+        # request anyway): same answer the daemon gives for an unknown id.
+        self.router.metrics.record_request("cancel", "ok")
+        self.respond(protocol.ok_response(request.id, {"cancelled": False}))
 
     # -- pump callbacks -------------------------------------------------
     def resolve_line(self, line: str, link: _ShardLink) -> None:
@@ -612,12 +485,12 @@ class _ClientConn:
                 self._inflight.pop(entry.id, None)
         for entry in orphans:
             if entry.method == "cancel":
-                self.respond_json(
+                self.respond(
                     protocol.ok_response(entry.id, {"cancelled": False})
                 )
                 continue
             self.router.metrics.record_request(entry.method, "crashed")
-            self.respond_json(
+            self.respond(
                 protocol.error_response(
                     entry.id,
                     protocol.WORKER_CRASHED,
@@ -647,8 +520,8 @@ class _ClientConn:
             link.close()
 
 
-class Router:
-    """The sharded serving loop: transports in, shard fleet through."""
+class Router(Endpoint):
+    """An endpoint that forwards checks to its shard fleet."""
 
     def __init__(self, config: Optional[RouterConfig] = None) -> None:
         self.config = config or RouterConfig()
@@ -659,7 +532,7 @@ class Router:
         #: ``shard_restarts``/``hung_shards_killed``/``forward_errors``
         #: robustness counters.  Shard-side counters live on the shards
         #: and are merged into :meth:`stats_snapshot`.
-        self.metrics = ServerMetrics()
+        super().__init__(ServerMetrics())
         self.pool = ShardPool(self.config)
         #: Health probes + per-shard circuit breakers (``--probe-interval``).
         #: ``None`` when probing is off: routing falls back to liveness
@@ -683,16 +556,12 @@ class Router:
             restart_counter="shard_restarts",
         )
         self.started = time.monotonic()
-        self.shutdown_requested = threading.Event()
-        self.drained = threading.Event()
-        self._shutdown_lock = threading.Lock()
         self._started_flag = False
         self._conns: set[_ClientConn] = set()
         self._conns_lock = threading.Lock()
         self._routed: dict[int, int] = {}
         self._routed_lock = threading.Lock()
         self._final_shard_stats: list[dict] = []
-        self._tcp_server: Optional[socketserver.ThreadingTCPServer] = None
 
     # -- lifecycle ------------------------------------------------------
     def start(self) -> None:
@@ -704,6 +573,23 @@ class Router:
         self.supervisor.start()
         if self.prober is not None:
             self.prober.start()
+
+    def drain_work(self) -> bool:
+        self.supervisor.stop(timeout=1.0)
+        if self.prober is not None:
+            self.prober.stop()
+        deadline = time.monotonic() + self.config.drain_timeout
+        while time.monotonic() < deadline and self.backlog() > 0:
+            time.sleep(0.02)
+        clean = self.backlog() == 0
+        # Harvest final counters before retiring the fleet — a drained
+        # shard's stats survive into the router's last dump.
+        self._final_shard_stats = [
+            snapshot
+            for snapshot in self.shard_stats()
+            if "error" not in snapshot
+        ]
+        return self.pool.stop(timeout=self.config.drain_timeout) and clean
 
     # -- supervisor pool protocol --------------------------------------
     @property
@@ -733,23 +619,41 @@ class Router:
         if self.pool.kill(entry.shard, entry.generation):
             self.metrics.record_robustness("hung_shards_killed")
 
+    # -- serving --------------------------------------------------------
+    def serve_request(
+        self,
+        request: protocol.Request,
+        line: str,
+        respond: Respond,
+        client: "_ClientConn",
+    ) -> None:
+        if request.method == "cancel":
+            client.forward_cancel(line, request)
+        else:
+            client.forward_check(line, request)
+
+    def connect(self, write: Callable[[str], None]) -> _ClientConn:
+        conn = _ClientConn(self, write)
+        with self._conns_lock:
+            self._conns.add(conn)
+        return conn
+
+    def disconnect(self, conn: _ClientConn) -> None:
+        with self._conns_lock:
+            self._conns.discard(conn)
+        conn.close_links()
+
+    def _connections(self) -> list[_ClientConn]:
+        with self._conns_lock:
+            return list(self._conns)
+
+    def backlog(self) -> int:
+        return sum(conn.backlog() for conn in self._connections())
+
     # -- routing --------------------------------------------------------
     def session_routing_key(self, params: dict[str, Any]) -> str:
         """The affinity key of one request's params (junk-tolerant)."""
-        raw_options = params.get("options", {})
-        if not isinstance(raw_options, dict):
-            raw_options = {}
-        options = FlowOptions(
-            track_fields=bool(
-                raw_options.get("track_fields", self.config.track_fields)
-            ),
-            gc=bool(raw_options.get("gc", self.config.gc)),
-        )
-        return routing_key(
-            params.get("path"),
-            params.get("engine", self.config.engine),
-            options_key(options),
-        )
+        return routing_key(*self.config.session_key(params))
 
     def route(self, params: dict[str, Any]) -> Optional[ShardHandle]:
         """The live, breaker-admitted shard this request pins to.
@@ -779,23 +683,6 @@ class Router:
     def record_routed(self, index: int) -> None:
         with self._routed_lock:
             self._routed[index] = self._routed.get(index, 0) + 1
-
-    # -- frame rejection (parity with the daemon's) --------------------
-    def reject_frame(
-        self,
-        error: protocol.ProtocolError,
-        respond: Callable[[dict[str, Any]], None],
-    ) -> None:
-        self.metrics.record_request("?", "invalid")
-        self.metrics.record_robustness("frames_rejected")
-        respond(
-            protocol.error_response(
-                error.request_id,
-                error.code,
-                str(error),
-                {"rp": diag_codes.MALFORMED_FRAME},
-            )
-        )
 
     # -- stats ----------------------------------------------------------
     def shard_stats(self) -> list[dict]:
@@ -856,201 +743,3 @@ class Router:
             )
         aggregate["shards"] = shard_snaps
         return aggregate
-
-    def render_text(self) -> str:
-        """The human-readable dump written at shutdown."""
-        snap = self.stats_snapshot()
-        router = snap["router"]
-        lines = [
-            "rowpoly serve metrics "
-            f"(sharded; uptime {snap['uptime_seconds']:.1f}s)",
-            f"  shards: {router['live_shards']}/{router['shards']} live, "
-            f"restarts={router['restarts']}, "
-            f"routed={router['routed'] or {}}",
-        ]
-        if router.get("breakers"):
-            detail = ", ".join(
-                f"{index}={state}"
-                for index, state in router["breakers"].items()
-            )
-            transitions = len(router.get("breaker_transitions") or [])
-            lines.append(
-                f"  breakers: {detail} ({transitions} transitions)"
-            )
-        overload = snap.get("overload") or {}
-        if any(overload.values()):
-            detail = ", ".join(
-                f"{name}={count:.3f}" if isinstance(count, float)
-                else f"{name}={count}"
-                for name, count in sorted(overload.items())
-                if count
-            )
-            lines.append(f"  overload: {detail}")
-        for method, statuses in sorted(
-            (snap.get("requests") or {}).items()
-        ):
-            total = sum(statuses.values())
-            detail = ", ".join(
-                f"{status}={count}"
-                for status, count in sorted(statuses.items())
-                if count
-            )
-            lines.append(f"  {method}: {total} requests ({detail})")
-        sessions = snap.get("sessions") or {}
-        if sessions:
-            lines.append(
-                f"  sessions: hit_rate={sessions.get('hit_rate', 0.0):.2f} "
-                f"(hits={sessions.get('hits', 0)}, "
-                f"misses={sessions.get('misses', 0)}, "
-                f"evictions={sessions.get('evictions', 0)}, "
-                f"invalidations={sessions.get('invalidations', 0)})"
-            )
-        store = snap.get("store") or {}
-        if any(v for k, v in store.items() if k != "hit_rate"):
-            lines.append(
-                f"  store: hit_rate={store.get('hit_rate', 0.0):.2f} "
-                f"(hits={store.get('hits', 0)}, "
-                f"misses={store.get('misses', 0)}, "
-                f"evictions={store.get('evictions', 0)}, "
-                f"corrupt_entries={store.get('corrupt_entries', 0)})"
-            )
-        robustness = snap.get("robustness") or {}
-        if any(robustness.values()):
-            detail = ", ".join(
-                f"{name}={count}"
-                for name, count in sorted(robustness.items())
-                if count
-            )
-            lines.append(f"  robustness: {detail}")
-        return "\n".join(lines)
-
-    # -- connection registry -------------------------------------------
-    def _connections(self) -> list[_ClientConn]:
-        with self._conns_lock:
-            return list(self._conns)
-
-    def _register(self, conn: _ClientConn) -> None:
-        with self._conns_lock:
-            self._conns.add(conn)
-
-    def _unregister(self, conn: _ClientConn) -> None:
-        with self._conns_lock:
-            self._conns.discard(conn)
-        conn.close_links()
-
-    def backlog(self) -> int:
-        return sum(conn.backlog() for conn in self._connections())
-
-    # -- transports -----------------------------------------------------
-    def serve_stdio(self, stdin=None, stdout=None) -> None:
-        """Serve newline-delimited JSON-RPC on stdio until EOF/shutdown."""
-        import sys
-
-        stdin = stdin if stdin is not None else sys.stdin
-        stdout = stdout if stdout is not None else sys.stdout
-
-        def write(text: str) -> None:
-            stdout.write(text)
-            stdout.flush()
-
-        self.start()
-        conn = _ClientConn(self, write)
-        self._register(conn)
-        try:
-            for line, frame_error in protocol.iter_frames(stdin):
-                if frame_error is not None:
-                    conn.handle_frame_error(frame_error)
-                else:
-                    conn.handle_line(line)
-                if self.shutdown_requested.is_set():
-                    break
-            self._drain()  # in-flight responses still stream to stdout
-        finally:
-            self._unregister(conn)
-
-    def serve_tcp(
-        self, host: str = "127.0.0.1", port: int = 0, background: bool = False
-    ) -> tuple[str, int]:
-        """Serve over TCP; returns the bound (host, port)."""
-        router = self
-
-        class _Handler(socketserver.StreamRequestHandler):
-            def handle(self) -> None:
-                def write(text: str) -> None:
-                    self.wfile.write(text.encode())
-                    self.wfile.flush()
-
-                conn = _ClientConn(router, write)
-                router._register(conn)
-                try:
-                    for line, frame_error in protocol.iter_frames(
-                        self.rfile
-                    ):
-                        if frame_error is not None:
-                            conn.handle_frame_error(frame_error)
-                        else:
-                            conn.handle_line(line)
-                        if router.shutdown_requested.is_set():
-                            break
-                finally:
-                    router._unregister(conn)
-
-        class _Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
-        self.start()
-        server = _Server((host, port), _Handler)
-        self._tcp_server = server
-        bound = server.server_address[:2]
-        if background:
-            threading.Thread(
-                target=server.serve_forever,
-                name="rowpoly-router-acceptor",
-                daemon=True,
-            ).start()
-        else:
-            try:
-                server.serve_forever()
-            finally:
-                server.server_close()
-        return bound
-
-    # -- shutdown -------------------------------------------------------
-    def request_shutdown(self) -> None:
-        """Begin a graceful fleet drain without blocking the caller."""
-        with self._shutdown_lock:
-            if self.shutdown_requested.is_set():
-                return
-            self.shutdown_requested.set()
-        threading.Thread(
-            target=self._drain, name="rowpoly-router-drain", daemon=False
-        ).start()
-
-    def _drain(self) -> None:
-        with self._shutdown_lock:
-            if self.drained.is_set():
-                return
-            self.shutdown_requested.set()
-            self.supervisor.stop(timeout=1.0)
-            if self.prober is not None:
-                self.prober.stop()
-            deadline = time.monotonic() + self.config.drain_timeout
-            while time.monotonic() < deadline and self.backlog() > 0:
-                time.sleep(0.02)
-            # Harvest final counters before retiring the fleet — a
-            # drained shard's stats survive into the router's last dump.
-            self._final_shard_stats = [
-                snapshot
-                for snapshot in self.shard_stats()
-                if "error" not in snapshot
-            ]
-            self.pool.stop(timeout=self.config.drain_timeout)
-            server, self._tcp_server = self._tcp_server, None
-            if server is not None:
-                server.shutdown()
-                server.server_close()
-            self.drained.set()
-
-    def wait_drained(self, timeout: Optional[float] = None) -> bool:
-        return self.drained.wait(timeout)

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.diag import codes
-from repro.infer import SESSION_ENGINES, InferSession, check_module
+from repro.infer import REGISTRY, InferSession, check_module
 from repro.lang import parse
 from repro.lang.module import Decl, Module
 from repro.util import Budget
@@ -90,7 +90,7 @@ def _summary(result):
     ]
 
 
-@pytest.mark.parametrize("engine", SESSION_ENGINES)
+@pytest.mark.parametrize("engine", REGISTRY.session_names())
 @settings(max_examples=25, deadline=None)
 @given(module=modules(), budget=budgets())
 def test_starved_session_retry_equals_fresh(engine, module, budget):
@@ -104,7 +104,7 @@ def test_starved_session_retry_equals_fresh(engine, module, budget):
     assert all(r.status != "aborted" for r in retried.decls)
 
 
-@pytest.mark.parametrize("engine", SESSION_ENGINES)
+@pytest.mark.parametrize("engine", REGISTRY.session_names())
 @settings(max_examples=25, deadline=None)
 @given(module=modules(), budget=budgets())
 def test_budgeted_report_shape(engine, module, budget):
@@ -128,7 +128,7 @@ def test_budgeted_report_shape(engine, module, budget):
             )
 
 
-@pytest.mark.parametrize("engine", SESSION_ENGINES)
+@pytest.mark.parametrize("engine", REGISTRY.session_names())
 @settings(max_examples=25, deadline=None)
 @given(module=modules(), budget=budgets(),
        edit_choice=st.integers(min_value=0, max_value=23))
@@ -148,7 +148,7 @@ def test_starved_recheck_retry_equals_fresh(engine, module, budget,
     assert all(r.status != "aborted" for r in retried.decls)
 
 
-@pytest.mark.parametrize("engine", SESSION_ENGINES)
+@pytest.mark.parametrize("engine", REGISTRY.session_names())
 @settings(max_examples=10, deadline=None)
 @given(module=modules())
 def test_budget_aborts_are_deterministic(engine, module):

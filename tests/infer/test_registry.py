@@ -1,7 +1,5 @@
 """Tests for the engine registry: the single source of engine names."""
 
-import warnings
-
 import pytest
 
 from repro.infer.registry import (
@@ -91,41 +89,6 @@ class TestRegistration:
         with pytest.raises(ValueError, match="make_session"):
             EngineInfo(name="x", description="d",
                        capabilities=frozenset({CAP_SESSION}))
-
-
-class TestDeprecatedShims:
-    def test_make_engine_warns_and_delegates(self):
-        from repro.infer.engines import make_engine
-
-        with pytest.warns(DeprecationWarning, match="make_engine"):
-            engine = make_engine("setrows")
-        assert engine.name == "setrows"
-
-    def test_session_engines_attribute_warns(self):
-        import importlib
-
-        engines = importlib.import_module("repro.infer.engines")
-        with pytest.warns(DeprecationWarning, match="SESSION_ENGINES"):
-            names = engines.SESSION_ENGINES
-        assert names == REGISTRY.session_names()
-
-    def test_package_reexport_warns(self):
-        import sys
-
-        import repro.infer  # noqa: F401
-
-        package = sys.modules["repro.infer"]
-        with pytest.warns(DeprecationWarning, match="SESSION_ENGINES"):
-            names = package.SESSION_ENGINES
-        assert names == REGISTRY.session_names()
-
-    def test_make_engine_unknown_name_uses_registry_message(self):
-        from repro.infer.engines import make_engine
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(UnknownEngineError):
-                make_engine("nope")
 
 
 class TestSingleSourceOfNames:

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.infer import (
-    SESSION_ENGINES,
-    InferSession,
-    check_module,
-)
+from repro.infer import REGISTRY, InferSession, check_module
 from repro.lang import parse, parse_module
 
 WELL_TYPED = r"""
@@ -18,7 +14,7 @@ in use
 """
 
 
-@pytest.fixture(params=SESSION_ENGINES)
+@pytest.fixture(params=REGISTRY.session_names())
 def engine(request):
     return request.param
 

@@ -17,7 +17,7 @@ generated dependency graphs exercise caching, invalidation and
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.infer import SESSION_ENGINES, InferSession, check_module
+from repro.infer import REGISTRY, InferSession, check_module
 from repro.lang import parse
 from repro.lang.module import Decl, Module
 
@@ -96,7 +96,7 @@ def _summary(result):
     ]
 
 
-@pytest.mark.parametrize("engine", SESSION_ENGINES)
+@pytest.mark.parametrize("engine", REGISTRY.session_names())
 @settings(max_examples=25, deadline=None)
 @given(data=edit_streams())
 def test_recheck_equals_fresh_check(engine, data):

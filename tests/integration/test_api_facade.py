@@ -6,7 +6,7 @@ Three contracts under test:
   daemon serves (one code path, byte-for-byte);
 * every ``rowpoly check --json`` output — offline, ``--jobs N`` and
   ``--server`` — validates against ``docs/schema/check-report.schema.json``;
-* the deprecated ``explain_unsat`` entry point warns but still works.
+* the public modules import without deprecation warnings.
 """
 
 import json
@@ -172,18 +172,8 @@ class TestSchemaValidation:
 
 
 class TestDeprecatedExplainUnsat:
-    def test_shim_warns_and_still_answers(self):
-        from repro.infer.diagnostics import explain_unsat
-        from repro.infer.state import FlowState
-
-        state = FlowState()
-        state.fresh_flag()
-        state.beta.add_clause((1,))
-        with pytest.warns(DeprecationWarning, match="diagnose_unsat"):
-            assert explain_unsat(state) is None  # satisfiable
-
     def test_public_modules_import_clean(self):
-        # Importing the facade must not trip the deprecation shim.
+        # Importing the facade must not trip any deprecation warning.
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             import repro.api  # noqa: F401

@@ -217,3 +217,51 @@ class TestServeProcess:
         snapshot = json.loads(dump_path.read_text())
         assert snapshot["requests"]["check"]["ok"] == 1
         assert snapshot["sessions"]["misses"] == 1
+        assert "queue" in snapshot
+
+    @pytest.mark.parametrize("shards", [[], ["--shards", "1"]],
+                             ids=["daemon", "shards-1"])
+    def test_stdio_serve_answers_and_drains_on_eof(self, shards, tmp_path):
+        """``serve`` without ``--tcp`` speaks JSON-RPC on stdin/stdout."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [
+                os.path.join(os.path.dirname(__file__), "..", "..", "src"),
+                env.get("PYTHONPATH", ""),
+            ])
+        )
+        check = {"path": "m.rp", "source": WELL_TYPED}
+        requests = [
+            {"id": 1, "method": "ping"},
+            {"id": 2, "method": "check", "params": check},
+            {"id": 3, "method": "check", "params": check},
+            None,  # a garbage line
+            {"id": 5, "method": "frobnicate"},
+        ]
+        stdin = "".join(
+            "{not json\n" if request is None
+            else json.dumps(request) + "\n"
+            for request in requests
+        )
+        process = subprocess.run(
+            # One worker: the two checks of m.rp are served in order.
+            [sys.executable, "-m", "repro", "serve", "--workers", "1",
+             *shards],
+            input=stdin,
+            capture_output=True,
+            env=env,
+            text=True,
+            timeout=120.0,
+        )
+        assert process.returncode == 0, process.stderr
+        answers = [json.loads(line) for line in process.stdout.splitlines()]
+        assert len(answers) == 5
+        by_id = {answer["id"]: answer for answer in answers}
+        assert by_id[1]["result"] == {"pong": True}
+        assert by_id[2]["result"]["exit"] == 0
+        assert by_id[2]["result"]["cached"] is False
+        assert by_id[3]["result"]["cached"] is True
+        assert by_id[3]["result"]["report"] == by_id[2]["result"]["report"]
+        assert by_id[None]["error"]["code"] == -32700
+        assert by_id[5]["error"]["code"] == -32601
+        assert "rowpoly serve metrics" in process.stderr

@@ -169,6 +169,18 @@ class TestControlPlane:
                 client.request("frobnicate")
         assert excinfo.value.code == -32601
 
+    def test_unknown_method_names_do_not_grow_the_metrics(self, daemon):
+        _, address = daemon()
+        with ServeClient(address) as client:
+            for method in ("frobnicate", "defenestrate"):
+                with pytest.raises(ServeError):
+                    client.request(method)
+            stats = client.stats()
+        for method in ("frobnicate", "defenestrate"):
+            assert method not in stats["requests"]
+            assert method not in stats["latency"]
+        assert stats["requests"]["?"]["invalid"] == 2
+
     def test_missing_path_is_invalid_params(self, daemon):
         _, address = daemon()
         with ServeClient(address) as client:

@@ -28,7 +28,18 @@ class TestHistogram:
         assert snap["p50"] <= snap["p90"] <= snap["p99"]
         # geometric buckets are coarse; just pin the right decade
         assert 0.02 < snap["p50"] < 0.13
-        assert snap["p99"] <= snap["max"] * 2.1
+        assert snap["p99"] <= snap["max"]
+
+    def test_percentiles_never_exceed_the_observed_max(self):
+        histogram = Histogram()
+        for value in (0.0002, 0.0003, 0.0011):
+            histogram.observe(value)
+        snap = histogram.snapshot()
+        assert snap["p50"] <= snap["p90"] <= snap["p99"] <= snap["max"]
+        assert snap["max"] == 0.0011
+        single = Histogram()
+        single.observe(0.0)
+        assert single.snapshot()["p50"] == 0.0
 
     def test_out_of_range_values_clamp(self):
         histogram = Histogram()

@@ -36,18 +36,61 @@ def normalize_clause(literals: Iterable[Literal]) -> Optional[Clause]:
 
     Raises ``ValueError`` on the illegal literal ``0`` and on empty input
     (an empty clause is unsatisfiable; callers signal that explicitly via
-    :meth:`Cnf.add_clause`).
+    :meth:`Cnf.mark_unsat`).
+
+    Unit and binary clauses — every clause of the core record rules
+    (E3) — are canonicalised directly; wider clauses (``@@``, ``when``,
+    guarded clauses) take the general set-and-sort path.
     """
+    if type(literals) is not tuple:
+        literals = tuple(literals)
+    if len(literals) == 2:
+        a, b = literals
+        if a and b:
+            if a == b:
+                return (a,)
+            if a == -b:
+                return None
+            return literals if abs(a) < abs(b) else (b, a)
+    elif len(literals) == 1:
+        if literals[0]:
+            return literals
+    return _normalize_general(literals)
+
+
+def _normalize_general(literals: Clause) -> Optional[Clause]:
     seen: set[Literal] = set()
+    tautology = False
     for lit in literals:
         if lit == 0:
             raise ValueError("literal 0 is not allowed")
         if -lit in seen:
-            return None
+            tautology = True
         seen.add(lit)
     if not seen:
         raise ValueError("empty clause (use Cnf.mark_unsat to record falsity)")
+    if tautology:
+        return None
     return tuple(sorted(seen, key=lambda l: (abs(l), l)))
+
+
+class UndoTrail:
+    """The clauses a batch of removals took out of a :class:`Cnf`.
+
+    Started by :meth:`Cnf.start_trail`; :meth:`Cnf.rebuilt` turns it back
+    into the formula as it was when the trail started.  Recording costs
+    one list append per removed clause, against a full copy of the
+    formula up front.
+    """
+
+    __slots__ = ("length", "unsat", "revision", "removed")
+
+    def __init__(self, length: int, unsat: bool, revision: int) -> None:
+        self.length = length
+        self.unsat = unsat
+        self.revision = revision
+        #: ``(position, clause)`` for every clause removed since the start.
+        self.removed: list[tuple[int, Clause]] = []
 
 
 class Cnf:
@@ -59,7 +102,9 @@ class Cnf:
     onto the live flags (stale-variable GC, Sect. 6).
     """
 
-    __slots__ = ("_clauses", "_index", "_clause_set", "_unsat", "_revision")
+    __slots__ = (
+        "_clauses", "_index", "_clause_set", "_unsat", "_revision", "_trail",
+    )
 
     def __init__(self, clauses: Iterable[Iterable[Literal]] = ()) -> None:
         self._clauses: list[Optional[Clause]] = []
@@ -72,6 +117,7 @@ class Cnf:
         # unchanged, `clauses_from(cursor)` yields exactly the clauses added
         # since the cursor was taken; a revision bump invalidates cursors.
         self._revision = 0
+        self._trail: Optional[UndoTrail] = None
         for clause in clauses:
             self.add_clause(clause)
 
@@ -81,13 +127,28 @@ class Cnf:
     def add_clause(self, literals: Iterable[Literal]) -> None:
         """Conjoin one clause.  Tautologies and duplicates are dropped."""
         clause = normalize_clause(literals)
-        if clause is None or clause in self._clause_set:
+        if clause is not None:
+            self.add_canonical(clause)
+
+    def add_canonical(self, clause: Clause) -> None:
+        """Conjoin a clause already in :func:`normalize_clause` form.
+
+        Projection's resolvents and expansion's images are built
+        canonical; this skips normalising them a second time.  Duplicates
+        are dropped.
+        """
+        if clause in self._clause_set:
             return
         position = len(self._clauses)
         self._clauses.append(clause)
         self._clause_set.add(clause)
+        index = self._index
         for lit in clause:
-            self._index.setdefault(abs(lit), set()).add(position)
+            positions = index.get(abs(lit))
+            if positions is None:
+                index[abs(lit)] = {position}
+            else:
+                positions.add(position)
 
     def add_unit(self, literal: Literal) -> None:
         """Assert a single literal (``f`` or ``-f``)."""
@@ -188,6 +249,21 @@ class Cnf:
         """The set of propositional variables with at least one occurrence."""
         return {v for v, positions in self._index.items() if positions}
 
+    def occurrences(self, variable: int) -> int:
+        """Number of live clauses mentioning ``variable``."""
+        return len(self._index.get(variable, ()))
+
+    def binary_partners(self, variable: int) -> set[int]:
+        """Variables sharing a binary clause with ``variable``."""
+        clauses = self._clauses
+        partners: set[int] = set()
+        for position in self._index.get(variable, ()):
+            clause = clauses[position]
+            if len(clause) == 2:
+                a, b = clause
+                partners.add(abs(b) if abs(a) == variable else abs(a))
+        return partners
+
     def clauses_mentioning(self, variables: Iterable[int]) -> list[Clause]:
         """All clauses containing at least one of ``variables``."""
         positions: set[int] = set()
@@ -208,6 +284,48 @@ class Cnf:
         other._clause_set = set(self._clause_set)
         other._unsat = self._unsat
         other._revision = self._revision
+        return other
+
+    # ------------------------------------------------------------------
+    # undo trail (diagnostics on the pre-elimination formula)
+    # ------------------------------------------------------------------
+    def start_trail(self) -> UndoTrail:
+        """Record every removal from now on, until :meth:`stop_trail`.
+
+        Between the two only clauses may be appended and removed (no
+        :meth:`compact`); :meth:`rebuilt` then recovers the formula as it
+        is now.
+        """
+        self._trail = UndoTrail(len(self._clauses), self._unsat, self._revision)
+        return self._trail
+
+    def stop_trail(self) -> None:
+        """Stop recording removals."""
+        self._trail = None
+
+    def rebuilt(self, trail: UndoTrail) -> "Cnf":
+        """The formula as it was when ``trail`` started.
+
+        Equal to a :meth:`copy` taken then: the same clauses at the same
+        positions (tombstones included), the same ``known_unsat`` and
+        revision.  Clauses appended since are dropped and removed ones put
+        back.
+        """
+        clauses = self._clauses[: trail.length]
+        for position, clause in trail.removed:
+            if position < trail.length:
+                clauses[position] = clause
+        other = Cnf()
+        other._clauses = clauses
+        other._unsat = trail.unsat
+        other._revision = trail.revision
+        index = other._index
+        for position, clause in enumerate(clauses):
+            if clause is None:
+                continue
+            other._clause_set.add(clause)
+            for lit in clause:
+                index.setdefault(abs(lit), set()).add(position)
         return other
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -240,11 +358,14 @@ class Cnf:
         revision (incremental solvers must resynchronise).
         """
         removed: list[Clause] = []
+        trail = self._trail
         for position in range(start, min(end, len(self._clauses))):
             clause = self._clauses[position]
             if clause is None:
                 continue
             removed.append(clause)
+            if trail is not None:
+                trail.removed.append((position, clause))
             self._clauses[position] = None
             self._clause_set.discard(clause)
             for lit in clause:
@@ -262,21 +383,28 @@ class Cnf:
     # ------------------------------------------------------------------
     def remove_clauses_mentioning(self, variables: Iterable[int]) -> list[Clause]:
         """Remove and return every clause mentioning one of ``variables``."""
+        index = self._index
         positions: set[int] = set()
         for var in variables:
-            positions |= self._index.get(var, set())
+            found = index.get(var)
+            if found:
+                positions |= found
+        if not positions:
+            return []
+        clauses = self._clauses
+        clause_set = self._clause_set
+        trail = self._trail
         removed = []
         for position in sorted(positions):
-            clause = self._clauses[position]
-            if clause is None:
-                continue
+            clause = clauses[position]
             removed.append(clause)
-            self._clauses[position] = None
-            self._clause_set.discard(clause)
+            if trail is not None:
+                trail.removed.append((position, clause))
+            clauses[position] = None
+            clause_set.discard(clause)
             for lit in clause:
-                self._index[abs(lit)].discard(position)
-        if removed:
-            self._revision += 1
+                index[abs(lit)].discard(position)
+        self._revision += 1
         return removed
 
     def compact(self, force: bool = True) -> None:
@@ -288,6 +416,8 @@ class Cnf:
         live = [c for c in self._clauses if c is not None]
         if not force and len(self._clauses) < 2 * len(live) + 16:
             return
+        if self._trail is not None:
+            raise RuntimeError("compact() would invalidate the undo trail")
         self._revision += 1
         self._clauses = []
         self._index = {}

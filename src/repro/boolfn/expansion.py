@@ -51,7 +51,7 @@ def expand(beta: Cnf, olds: Sequence[int], news: Sequence[Literal]) -> None:
     for clause in beta.clauses_mentioning(olds):
         image = substitute_literals(clause, mapping)
         if image is not None:
-            beta.add_clause(image)
+            beta.add_canonical(image)
 
 
 def expand_many(

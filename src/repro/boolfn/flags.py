@@ -39,6 +39,10 @@ class FlagSupply:
         """Debug name for ``flag`` (falls back to ``f<id>``)."""
         return self._names.get(flag, f"f{flag}")
 
+    def is_anonymous(self, flag: int) -> bool:
+        """True if no debug name was recorded for ``flag``."""
+        return flag not in self._names
+
     def set_name(self, flag: int, name: str) -> None:
         """Attach or replace the debug name of ``flag``."""
         self._names[flag] = name

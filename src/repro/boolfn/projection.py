@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .cnf import Cnf, normalize_clause
+from .cnf import Clause, Cnf, normalize_clause
 
 
 def eliminate_variable(beta: Cnf, variable: int) -> None:
@@ -32,19 +32,39 @@ def eliminate_variable(beta: Cnf, variable: int) -> None:
     unit clauses resolves to the empty clause the formula is marked
     unsatisfiable.
     """
-    touched = beta.remove_clauses_mentioning((variable,))
-    positives = [c for c in touched if variable in c]
-    negatives = [c for c in touched if -variable in c]
-    for pos_clause in positives:
-        rest_pos = [lit for lit in pos_clause if lit != variable]
-        for neg_clause in negatives:
-            rest = rest_pos + [lit for lit in neg_clause if lit != -variable]
+    if not beta.occurrences(variable):
+        return
+    negated = -variable
+    # What each clause keeps besides the eliminated literal, split by the
+    # literal's sign; unit and binary clauses are split directly.
+    positives: list[Clause] = []
+    negatives: list[Clause] = []
+    for clause in beta.remove_clauses_mentioning((variable,)):
+        if len(clause) == 2:
+            a, b = clause
+            if a == variable:
+                positives.append((b,))
+            elif a == negated:
+                negatives.append((b,))
+            elif b == variable:
+                positives.append((a,))
+            else:
+                negatives.append((a,))
+        elif len(clause) == 1:
+            (positives if clause[0] == variable else negatives).append(())
+        elif variable in clause:
+            positives.append(tuple(lit for lit in clause if lit != variable))
+        else:
+            negatives.append(tuple(lit for lit in clause if lit != negated))
+    for rest_pos in positives:
+        for rest_neg in negatives:
+            rest = rest_pos + rest_neg
             if not rest:
                 beta.mark_unsat()
                 return
             resolvent = normalize_clause(rest)
             if resolvent is not None:
-                beta.add_clause(resolvent)
+                beta.add_canonical(resolvent)
 
 
 def project_onto(beta: Cnf, live: Iterable[int]) -> None:
@@ -59,7 +79,7 @@ def project_onto(beta: Cnf, live: Iterable[int]) -> None:
         dead = [v for v in beta.variables() if v not in live_set]
         if not dead:
             break
-        dead.sort(key=lambda v: len(beta.clauses_mentioning((v,))))
+        dead.sort(key=beta.occurrences)
         for variable in dead:
             eliminate_variable(beta, variable)
             if beta.known_unsat:

@@ -234,14 +234,15 @@ def apply_subst(state: FlowState, subst: Subst) -> None:
             # Provenance: the replacement columns inherit the occurrence
             # flag's debug name (select:/empty-record@/via:) so that the
             # diagnostics' witness endpoints survive the elimination below.
+            flags = state.flags
             for flag, literals in records:
-                name = state.flags.name_of(flag)
-                if name == f"f{flag}":
+                if flags.is_anonymous(flag):
                     continue
+                name = flags.name_of(flag)
                 for literal in literals:
                     target = abs(literal)
-                    if state.flags.name_of(target) == f"f{target}":
-                        state.flags.set_name(target, name)
+                    if flags.is_anonymous(target):
+                        flags.set_name(target, name)
         # The expanded duplicates are original constraints on the fresh
         # columns — record them for the diagnostics log before the
         # occurrence flags are resolved away.

@@ -36,6 +36,9 @@ class InferenceError(Exception):
         super().__init__(message)
         self.span = span
         self.expr = expr
+        #: Solver telemetry (a ``SolverStats``) of the run that raised,
+        #: attached by the flow engine; never part of the stable report.
+        self.solver_stats = None
         self.diagnostics: tuple[Diagnostic, ...] = tuple(diagnostics)
         if not self.diagnostics:
             self.diagnostics = (

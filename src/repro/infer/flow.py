@@ -56,6 +56,7 @@ from ..lang.ast import (
     Update,
     Var,
     When,
+    free_variables,
 )
 from ..types.lattice import alpha_equivalent
 from ..types.project import flag_literals, strip
@@ -84,6 +85,7 @@ from .env import Mono, Poly, TypeEnv
 from .errors import (
     FixpointDivergence,
     FlowUnsatisfiable,
+    InferenceError,
     UnboundVariable,
     UnificationFailure,
 )
@@ -165,11 +167,18 @@ class FlowInference(ExtensionRules):
         closed program.
         """
         env_slot = self.state.push(env)
-        t = self.infer(env_slot, expr)
-        result_slot = self.state.push(t)
-        # Check before GC: projection can collapse the witness implication
-        # chains that the diagnostics use to name the offending field.
-        self.check_satisfiable(expr, force=True)
+        try:
+            t = self.infer(env_slot, expr)
+            result_slot = self.state.push(t)
+            # Check before GC: projection can collapse the witness
+            # implication chains that the diagnostics use to name the
+            # offending field.
+            self.check_satisfiable(expr, force=True)
+        except InferenceError as error:
+            # The rejection's telemetry includes the core extraction that
+            # explained it (see FlowState.solver_stats).
+            error.solver_stats = self.state.solver_stats()
+            raise
         self.collect_garbage()
         t = result_slot.value
         assert isinstance(t, Type)
@@ -207,10 +216,9 @@ class FlowInference(ExtensionRules):
         state = self.state
 
         def fresh_like(old: Optional[int]) -> int:
-            if old is None:
+            if old is None or state.flags.is_anonymous(old):
                 return state.fresh_flag()
-            name = state.flags.name_of(old)
-            return state.fresh_flag(None if name == f"f{old}" else name)
+            return state.fresh_flag(state.flags.name_of(old))
 
         def go(t: Type) -> Type:
             if isinstance(t, TVar):
@@ -293,28 +301,32 @@ class FlowInference(ExtensionRules):
         Variable elimination preserves satisfiability, so deriving the
         empty clause here means β was already unsatisfiable — raise at once
         with diagnostics computed on the pre-elimination formula (the
-        eliminated chains are what the explanations are made of).
+        eliminated chains are what the explanations are made of).  On
+        small formulas the batch records what it removes, and the
+        pre-elimination formula is rebuilt from that trail only when ⊥ is
+        derived.
         """
         state = self.state
-        snapshot = (
-            state.beta.copy() if len(state.beta) <= 250 else None
-        )
+        beta = state.beta
         self._transfer_debug_names(dead)
-        with state.timed_gc():
-            for flag in sorted(dead):
-                eliminate_variable(state.beta, flag)
-        if state.beta.known_unsat and state.options.check_each_let:
+        trail = beta.start_trail() if len(beta) <= 250 else None
+        try:
+            with state.timed_gc():
+                for flag in sorted(dead):
+                    eliminate_variable(beta, flag)
+        finally:
+            beta.stop_trail()
+        if beta.known_unsat and state.options.check_each_let:
             diagnostics: list[Diagnostic] = []
-            if snapshot is not None:
+            if trail is not None:
                 # Diagnose on the pre-elimination formula: the eliminated
                 # implication chains are what the witness is made of (the
                 # engine follows the temporary beta swap).
-                current = state.beta
-                state.beta = snapshot
+                state.beta = beta.rebuilt(trail)
                 try:
                     diagnostics = diagnose_unsat(state)
                 finally:
-                    state.beta = current
+                    state.beta = beta
             if not diagnostics:
                 diagnostics = [fallback_diagnostic(state)]
             anchor = expr if expr is not None else self._current_expr
@@ -356,46 +368,34 @@ class FlowInference(ExtensionRules):
     def _transfer_debug_names(self, dead: set[int]) -> None:
         """Keep diagnostics readable: before named flags are eliminated,
         propagate their names through bi-implied partners (walking across
-        other dead flags) so a surviving flag carries the name."""
-        state = self.state
+        other dead flags) so a surviving flag carries the name.
 
-        def partners(flag: int) -> set[int]:
-            # Any implication neighbour: (VAR) copies are one-directional,
-            # so requirement names must travel along single edges too.
-            out: set[int] = set()
-            for clause in state.beta.clauses_mentioning((flag,)):
-                if len(clause) != 2:
-                    continue
-                a, b = clause
-                other = b if abs(a) == flag else a
-                out.add(abs(other))
-            return out
-
-        def renameable(flag: int, incoming: str) -> bool:
-            # Anonymous flags always take a name; ``via:`` hops yield to
+        Any implication neighbour counts: (VAR) copies are one-directional,
+        so requirement names must travel along single edges too.  Within
+        one walk each flag is judged once, on the name it had before the
+        walk, so the order partners are visited in does not matter."""
+        flags = self.state.flags
+        beta = self.state.beta
+        for flag in sorted(dead):
+            if flags.is_anonymous(flag):
+                continue
+            name = flags.name_of(flag)
+            # Anonymous flags always take the name; ``via:`` hops yield to
             # stronger provenance (a select/empty endpoint must survive
             # elimination for the witness endpoints to stay named).
-            current_name = state.flags.name_of(flag)
-            if current_name == f"f{flag}":
-                return True
-            return current_name.startswith("via:") and not incoming.startswith(
-                "via:"
-            )
-
-        for flag in sorted(dead):
-            name = state.flags.name_of(flag)
-            if name == f"f{flag}":
-                continue
+            overrides_via = not name.startswith("via:")
             seen = {flag}
             queue = [flag]
             while queue:
-                current = queue.pop()
-                for partner in sorted(partners(current)):
+                for partner in beta.binary_partners(queue.pop()):
                     if partner in seen:
                         continue
                     seen.add(partner)
-                    if renameable(partner, name):
-                        state.flags.set_name(partner, name)
+                    if flags.is_anonymous(partner) or (
+                        overrides_via
+                        and flags.name_of(partner).startswith("via:")
+                    ):
+                        flags.set_name(partner, name)
                         if partner in dead:
                             queue.append(partner)
 
@@ -587,7 +587,7 @@ class FlowInference(ExtensionRules):
             return
         name = f"via:{expr.name}@{expr.span}"
         for flag in all_flags(t):
-            if state.flags.name_of(flag) == f"f{flag}":
+            if state.flags.is_anonymous(flag):
                 state.flags.set_name(flag, name)
 
     def instantiate(self, scheme: Scheme) -> Type:
@@ -612,8 +612,10 @@ class FlowInference(ExtensionRules):
             """Fresh flag inheriting the debug name of ``old`` (diagnostics)."""
             fresh = flag_map.get(old)
             if fresh is None:
-                name = state.flags.name_of(old)
-                fresh = state.fresh_flag(None if name == f"f{old}" else name)
+                flags = state.flags
+                fresh = state.fresh_flag(
+                    None if flags.is_anonymous(old) else flags.name_of(old)
+                )
                 flag_map[old] = fresh
             return fresh
 
@@ -774,8 +776,6 @@ class FlowInference(ExtensionRules):
         env = env_slot.value
         assert isinstance(env, TypeEnv)
         shadow_slot = self._stash_shadowed(env.lookup(expr.name))
-        from ..lang.ast import free_variables
-
         if expr.name not in free_variables(expr.bound):
             # Non-recursive binding: no fixpoint needed (one iteration of
             # (LETREC) with x at ∀a.a, which the bound expression ignores).

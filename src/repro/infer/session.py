@@ -507,6 +507,7 @@ class InferSession:
                 code=error.diagnostic.code,
                 diagnostics=error.diagnostics,
                 seconds=time.perf_counter() - started,
+                solver_stats=error.solver_stats,
             )
         return check, DeclReport(
             name=decl.name,

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from ..boolfn.cnf import Clause, Cnf, Literal
-from ..boolfn.engine import SatEngine
+from ..boolfn.engine import SatEngine, SolverStats
 from ..boolfn.flags import FlagSupply
-from ..types.terms import Type, VarSupply
+from ..types.terms import Type, VarSupply, all_flags
 from ..util import Budget, Deadline
 from .env import TypeEnv
 
@@ -148,6 +148,9 @@ class FlowState:
         # between emitted constraints reuse solver state instead of
         # re-solving β from scratch (see repro.boolfn.engine).
         self.engine = SatEngine(self.beta)
+        # Engines replaced by sat_engine() (diagnostics swap β for the
+        # pre-elimination formula); their telemetry is part of the run's.
+        self._retired_engines: list[SatEngine] = []
         # Clause-provenance log for the diagnostics engine (see
         # _PROVENANCE_LOG_CAP above); ``None`` once the cap is exceeded.
         self.provenance_log: list[Clause] | None = []
@@ -230,13 +233,17 @@ class FlowState:
         clause = tuple(literals)
         if self.guards:
             clause = clause + tuple(-g for g in self.guards)
+        stats = self.stats
         if len(clause) > 2:
-            self.stats.saw_non_twosat = True
-        positives = sum(1 for lit in clause if lit > 0)
+            stats.saw_non_twosat = True
+        positives = 0
+        for lit in clause:
+            if lit > 0:
+                positives += 1
         if positives > 1:
-            self.stats.saw_non_horn = True
+            stats.saw_non_horn = True
         if len(clause) - positives > 1:
-            self.stats.saw_non_dual_horn = True
+            stats.saw_non_dual_horn = True
         self.beta.add_clause(clause)
         if self.budget is not None:
             # The clause ceiling is the OOM guard: β is where a
@@ -253,7 +260,7 @@ class FlowState:
         if len(log) >= _PROVENANCE_LOG_CAP:
             self.provenance_log = None
             return
-        log.append(tuple(clause))
+        log.append(clause)
 
     def log_clauses(self, clauses: Iterable[Clause]) -> None:
         """Record clauses added to β outside :meth:`add_clause` (expansion)."""
@@ -298,13 +305,10 @@ class FlowState:
         This is the set β is allowed to mention between rule applications;
         eliminating everything outside it is the stale-flag GC of Sect. 6.
         """
-        from ..types.terms import Type, all_flags
-        from .env import TypeEnv as _TypeEnv
-
         live: set[int] = {abs(g) for g in self.guards}
         for slot in self.live:
             value = slot.value
-            if isinstance(value, _TypeEnv):
+            if isinstance(value, TypeEnv):
                 live.update(value.flags)
             else:
                 live.update(all_flags(value))
@@ -321,9 +325,16 @@ class FlowState:
         engine follows the live object and rebuilds when it changes.
         """
         if self.engine.cnf is not self.beta:
+            self._retired_engines.append(self.engine)
             self.engine = SatEngine(self.beta)
         self.engine.budget = self.budget
         return self.engine
+
+    def solver_stats(self) -> SolverStats:
+        """Telemetry of every engine this run used, merged."""
+        return SolverStats.merged(
+            engine.stats() for engine in (*self._retired_engines, self.engine)
+        )
 
     def solve_beta(self):
         """One timed incremental satisfiability query against β."""

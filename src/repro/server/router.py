@@ -161,7 +161,7 @@ class ShardPool:
         receiver, sender = self.context.Pipe(duplex=False)
         process = self.context.Process(
             target=shard_main,
-            args=(index, self.config.daemon_config(), sender),
+            args=(index, self.config.daemon_config(), sender, generation),
             name=f"rowpoly-shard-{index}",
             daemon=True,
         )

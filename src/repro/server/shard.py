@@ -49,7 +49,9 @@ def spawn_context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context(START_METHOD)
 
 
-def shard_main(index: int, config: DaemonConfig, conn) -> None:
+def shard_main(
+    index: int, config: DaemonConfig, conn, generation: int = 1
+) -> None:
     """Entry point of one spawned shard process.
 
     Runs a full :class:`Daemon` on ``127.0.0.1:<ephemeral>``, reports the
@@ -57,8 +59,16 @@ def shard_main(index: int, config: DaemonConfig, conn) -> None:
     SIGTERM triggers the daemon's graceful drain; SIGINT is ignored so a
     terminal Ctrl-C reaches only the router, which drains its shards
     deliberately (shutdown RPC) rather than racing a signal broadcast.
+
+    ``generation`` counts the processes that have held this shard index
+    (1 for the first, +1 per respawn).  Injected faults draw from a seed
+    derived from the spec's seed, the index and the generation: a fleet
+    stays reproducible, yet a respawned shard does not replay the draws
+    that killed its predecessor.
     """
     from ..testing.faults import install_from_env
+
+    stream = f"shard{index}.gen{generation}"
 
     # Per-shard fault targeting: ``ROWPOLY_FAULTS_SHARD_<index>``
     # overrides the fleet-wide ``ROWPOLY_FAULTS`` for exactly this shard
@@ -69,9 +79,9 @@ def shard_main(index: int, config: DaemonConfig, conn) -> None:
     if targeted is not None:
         environ = dict(os.environ)
         environ["ROWPOLY_FAULTS"] = targeted
-        install_from_env(environ)
+        install_from_env(environ, stream)
     else:
-        install_from_env(os.environ)
+        install_from_env(os.environ, stream)
     try:
         daemon = Daemon(config)
         host, port = daemon.serve_tcp("127.0.0.1", 0, background=True)

@@ -68,7 +68,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from random import Random
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from ..util import BudgetExceeded
 
@@ -125,7 +125,9 @@ class FaultInjector:
     per-site *rates* still hold even though interleaving varies.
     """
 
-    def __init__(self, rules: Sequence[FaultRule], seed: int = 0) -> None:
+    def __init__(
+        self, rules: Sequence[FaultRule], seed: Union[int, str] = 0
+    ) -> None:
         self.rules = list(rules)
         self.seed = seed
         self._random = Random(seed)
@@ -215,13 +217,17 @@ def injected(
         uninstall()
 
 
-def parse_spec(spec: str) -> FaultInjector:
+def parse_spec(spec: str, stream: str = "") -> FaultInjector:
     """Parse a ``ROWPOLY_FAULTS`` specification string.
 
     ``seed=N`` segments set the seed; every other segment is
     ``site:rate:kind`` with optional ``key=value`` extras::
 
         seed=7;engine.solve:0.1:error;session.check_decl:0.05:slow:delay=40
+
+    A non-empty ``stream`` derives a distinct, still deterministic seed
+    from ``N`` — for processes that share one spec but must not replay
+    the same draws (every generation of every shard of a fleet).
     """
     seed = 0
     rules: list[FaultRule] = []
@@ -253,14 +259,19 @@ def parse_spec(spec: str) -> FaultInjector:
                 limit=extras.get("limit"),
             )
         )
-    return FaultInjector(rules, seed=seed)
+    return FaultInjector(rules, seed=f"{seed}/{stream}" if stream else seed)
 
 
-def install_from_env(environ: Mapping[str, str]) -> Optional[FaultInjector]:
-    """Install from ``ROWPOLY_FAULTS`` when set; the subprocess hook."""
+def install_from_env(
+    environ: Mapping[str, str], stream: str = ""
+) -> Optional[FaultInjector]:
+    """Install from ``ROWPOLY_FAULTS`` when set; the subprocess hook.
+
+    ``stream`` is passed to :func:`parse_spec`.
+    """
     spec = environ.get("ROWPOLY_FAULTS", "").strip()
     if not spec:
         return None
-    injector = parse_spec(spec)
+    injector = parse_spec(spec, stream)
     install(injector)
     return injector

@@ -188,3 +188,29 @@ class TestModuleFormula:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
             InferSession("banana")
+
+
+class TestFailingDeclarationTelemetry:
+    """A rejected declaration keeps the solver work that explained it."""
+
+    SOURCE = "f r = #x r;\ng = f {}"
+
+    def test_core_extraction_reaches_the_report_and_the_rollup(self):
+        result = check_module(parse_module(self.SOURCE), "flow")
+        failing = result.report("g")
+        assert failing.status == "error" and failing.code == "RP0001"
+        assert failing.solver_stats is not None
+        assert failing.solver_stats.cores >= 1
+        assert failing.solver_stats.unsat_answers >= 1
+        rollup = result.solver_rollup()
+        assert rollup.cores >= 1
+        assert rollup.unsat_answers >= 1
+
+    def test_stable_payload_is_unchanged(self):
+        result = check_module(parse_module(self.SOURCE), "flow")
+        payload = result.report("g").as_dict()
+        assert "solver_stats" not in payload
+        assert set(payload) == {
+            "decl", "status", "error", "message", "line", "column",
+            "code", "diagnostics",
+        }

@@ -4,10 +4,11 @@
 #     bash tools/ci_smoke.sh SUITE
 #
 # SUITE is one of: batch daemon shard store audit chaos overload setrows
-# diagnostics.  Commands run from the repository root, where they leave
-# their artifacts (the CI job uploads them).  Like a CI step, the script
-# stops at the first failing command.
-set -e
+# diagnostics perfbench.  Commands run from the repository root, where
+# they leave their artifacts (the CI job uploads them).  Like a CI step,
+# the script stops at the first failing command, including a failing
+# command piped into `tee`.
+set -e -o pipefail
 cd "$(dirname "$0")/.."
 
 # start_serve LOG TRIES ARGS...: run `rowpoly serve ARGS...` in the
@@ -363,13 +364,22 @@ print("served output validates identically")
 PY
 }
 
+suite_perfbench() {
+  echo "== Benchmark self-test"
+  # Every perfbench workload at toy size, plus planted wrong answers
+  # its known-answer checks must catch.
+  python3 perfbench/selftest.py
+}
+
 case "${1:-}" in
-  batch|daemon|shard|store|audit|chaos|overload|setrows|diagnostics)
+  batch|daemon|shard|store|audit|chaos|overload|setrows|diagnostics|perfbench)
+    SECONDS=0
     "suite_$1"
+    echo "== Suite $1 passed in ${SECONDS}s"
     ;;
   *)
     echo "usage: bash tools/ci_smoke.sh" \
-      "{batch|daemon|shard|store|audit|chaos|overload|setrows|diagnostics}" >&2
+      "{batch|daemon|shard|store|audit|chaos|overload|setrows|diagnostics|perfbench}" >&2
     exit 2
     ;;
 esac

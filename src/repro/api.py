@@ -42,6 +42,7 @@ from .server.service import (
     check_source as _service_check_source,
     diagnostic_codes,
     report_aborted,
+    unchecked_outcome,
 )
 from .util import Budget
 
@@ -185,16 +186,7 @@ def check_path(
         with open(path) as handle:
             source = handle.read()
     except OSError as error:
-        return CheckReport(
-            path=path,
-            report={
-                "file": path,
-                "ok": False,
-                "error": "IOError",
-                "message": str(error),
-            },
-            exit_code=2,
-        )
+        return CheckReport.from_outcome(path, unchecked_outcome(path, error))
     return check_source(source, path, engine=engine, options=options)
 
 

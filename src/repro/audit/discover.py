@@ -29,11 +29,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from ..server.service import fingerprint_source
-
-#: File extension collected when an audit root is a directory (the same
-#: suffix ``rowpoly check`` expands).
-MODULE_SUFFIX = ".rp"
+from ..server.service import MODULE_SUFFIX, fingerprint_source
 
 
 class DiscoveryError(Exception):

@@ -1,33 +1,33 @@
-"""Execute: fan the audit plan out and collect stable check payloads.
+"""Execute: the one batch executor behind ``rowpoly check`` and ``audit run``.
 
-The middle stage of the pipeline runs every :class:`~repro.audit.
-discover.AuditUnit` through the *same* canonical check routine every
-other surface uses (:func:`repro.server.service.check_source`), in one
-of three modes:
+The middle stage of the audit pipeline — and the whole of ``rowpoly
+check`` between reading its files and printing — runs every
+:class:`~repro.audit.discover.AuditUnit` through the *same* canonical
+check routine every other surface uses
+(:func:`repro.server.service.check_source`), in one of three modes:
 
-* **in-process** — one throwaway session per module, sharing a single
-  persistent-store handle (so the audit's ``store_hits`` are observable
-  through the attached metrics hook);
+* **in-process** — one throwaway session per module, sharing the
+  caller's persistent-store handle (so the audit's ``store_hits`` are
+  observable through the attached metrics hook);
 * **local pool** (``jobs > 1``) — a spawned :class:`ProcessPoolExecutor`
-  with one store handle per worker process, exactly the ``rowpoly check
-  --jobs`` discipline (``map`` preserves input order, so downstream
-  artifacts are independent of scheduling);
+  with one store handle per worker process (``map`` preserves input
+  order, so downstream artifacts are independent of scheduling);
 * **daemon fleet** (``server``) — batch submission through
   :func:`repro.server.client.check_files_batch`, which drives a
   ``rowpoly serve`` daemon (or ``--shards N`` router) with one retrying
   connection per plan shard.
 
-All three produce payloads of the same shape as ``rowpoly check``
-(``{"file", "report", "exit", "trace", "solver_stats"}``), in plan
-order, with byte-identical stable reports — the existing parity
-contract the audit pipeline inherits rather than re-proves.  Results
-are keyed by plan position, so the Judge stage can zip units and
-payloads without trusting any transport's ordering.
+All three produce payloads of one shape
+(:meth:`~repro.server.service.CheckOutcome.payload`: ``{"file",
+"report", "exit", "trace", "solver_stats"}``), in plan order, with
+byte-identical stable reports.  Sources arrive already read: no mode
+reads a module file, or stdin, itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from ..infer.state import FlowOptions
@@ -54,8 +54,8 @@ class ExecuteConfig:
     retry_seed: int = 0
 
 
-#: Per-process persistent-store handles for the worker pool, keyed by
-#: directory (one open per spawned worker, the ``check --jobs`` rule).
+#: Persistent-store handles, keyed by directory: one open per process
+#: (each spawned pool worker, or the caller when it passes no store).
 _WORKER_STORES: dict[str, object] = {}
 
 
@@ -71,25 +71,25 @@ def _open_worker_store(store_dir: Optional[str]):
 
 
 def _execute_one(
-    item: tuple[str, str, str, Optional[FlowOptions], Optional[dict],
-                Optional[str]],
+    unit: tuple[str, str], config: ExecuteConfig, store=None
 ) -> dict[str, object]:
-    """Check one unit; the picklable unit of work for the pool."""
-    path, source, engine, options, budget_spec, store_dir = item
+    """Check one ``(path, source)``; also the pool's unit of work.
+
+    A fresh budget per check: budgets are stateful (the wall clock
+    starts at construction).
+    """
+    path, source = unit
+    if store is None:
+        store = _open_worker_store(config.store_dir)
     budget = (
-        Budget.from_params(budget_spec) if budget_spec is not None else None
+        Budget.from_params(config.budget_spec)
+        if config.budget_spec is not None
+        else None
     )
-    outcome = check_source(
-        path, source, engine=engine, options=options, budget=budget,
-        store=_open_worker_store(store_dir),
-    )
-    return {
-        "file": path,
-        "report": outcome.report,
-        "exit": outcome.exit,
-        "trace": outcome.trace,
-        "solver_stats": outcome.solver_stats,
-    }
+    return check_source(
+        path, source, engine=config.engine, options=config.options,
+        budget=budget, store=store,
+    ).payload(path)
 
 
 def execute(
@@ -104,12 +104,13 @@ def execute(
     ``store_hits`` — survive the run); the pool and fleet paths manage
     their own handles from ``config.store_dir``.
     """
+    units = [(unit.path, unit.source) for unit in plan.units]
     if config.server:
         from ..server.client import check_files_batch
 
         return check_files_batch(
             config.server,
-            [(unit.path, unit.source) for unit in plan.units],
+            units,
             engine=config.engine,
             options=config.options,
             budget=config.budget_spec,
@@ -117,40 +118,26 @@ def execute(
             retry_seed=config.retry_seed,
             concurrency=max(plan.shards, 1),
         )
-    items = [
-        (unit.path, unit.source, config.engine, config.options,
-         config.budget_spec, config.store_dir)
-        for unit in plan.units
-    ]
-    if config.jobs > 1 and len(items) > 1:
+    if config.jobs > 1 and len(units) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         from ..server.shard import spawn_context
 
+        # About four chunks per worker, as multiprocessing.Pool.map
+        # sizes them; a list shorter than that goes one unit per chunk,
+        # so it still spreads over every worker.
+        chunksize = max(1, len(units) // (4 * config.jobs))
+        # Pinned "spawn" start method (same as the sharded daemon): the
+        # platform default ``fork`` would clone the caller's threads and
+        # locks, and differs across OSes and Python versions.
         with ProcessPoolExecutor(
             max_workers=config.jobs, mp_context=spawn_context()
         ) as pool:
-            return list(pool.map(_execute_one, items, chunksize=8))
-    if store is None:
-        store = _open_worker_store(config.store_dir)
-    payloads = []
-    for path, source, engine, options, budget_spec, _ in items:
-        budget = (
-            Budget.from_params(budget_spec)
-            if budget_spec is not None
-            else None
-        )
-        outcome = check_source(
-            path, source, engine=engine, options=options, budget=budget,
-            store=store,
-        )
-        payloads.append(
-            {
-                "file": path,
-                "report": outcome.report,
-                "exit": outcome.exit,
-                "trace": outcome.trace,
-                "solver_stats": outcome.solver_stats,
-            }
-        )
-    return payloads
+            return list(
+                pool.map(
+                    partial(_execute_one, config=config),
+                    units,
+                    chunksize=chunksize,
+                )
+            )
+    return [_execute_one(unit, config, store) for unit in units]

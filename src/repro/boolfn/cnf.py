@@ -374,10 +374,6 @@ class Cnf:
             self._revision += 1
         return removed
 
-    def rollback_to(self, checkpoint: int) -> list[Clause]:
-        """Retract every clause added at or after ``checkpoint``."""
-        return self.retract_interval(checkpoint, len(self._clauses))
-
     # ------------------------------------------------------------------
     # removal (used by projection / GC)
     # ------------------------------------------------------------------

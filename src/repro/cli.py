@@ -33,7 +33,6 @@ import os
 import sys
 import time
 
-from .api import check_source
 from .boolfn.engine import SolverStats
 from .gdsl import FIG9_CORPORA, GeneratorConfig, build_corpus, generate_decoder
 from .infer import FlowOptions, InferenceError, InferSession, infer_flow
@@ -41,15 +40,16 @@ from .infer.registry import REGISTRY
 from .lang import LexError, ParseError, parse, parse_module
 from .lang.ast import IntLit, Let
 from .semantics import Omega, evaluate
+from .server.service import (
+    EXIT_ILL_TYPED,
+    EXIT_OK,
+    EXIT_USAGE,
+    MODULE_SUFFIX,
+    fingerprint_source,
+    unchecked_outcome,
+)
 from .types.project import strip
-from .util import Budget, run_deep
-
-#: File extension collected when a ``check`` path is a directory.
-MODULE_SUFFIX = ".rp"
-
-EXIT_OK = 0
-EXIT_ILL_TYPED = 1
-EXIT_USAGE = 2
+from .util import run_deep
 
 
 def _read_program(path: str) -> str:
@@ -178,61 +178,18 @@ def _resolve_store_dir(args: argparse.Namespace) -> str | None:
     return explicit or os.environ.get("ROWPOLY_STORE") or None
 
 
-#: Per-process persistent-store handles, keyed by directory.  ``check
-#: --jobs N`` workers are spawned processes; each opens the shared
-#: directory once and keeps its own memory layer in front of it.
-_WORKER_STORES: dict[str, object] = {}
+def _batch_store_dir(args: argparse.Namespace) -> str | None:
+    """The store a batch command opens itself: none under ``--server``.
 
-
-def _open_worker_store(store_dir: str | None):
-    if store_dir is None:
-        return None
-    store = _WORKER_STORES.get(store_dir)
-    if store is None:
-        from .store import open_store
-
-        store = _WORKER_STORES[store_dir] = open_store(store_dir)
-    return store
-
-
-def _check_one_file(
-    item: tuple[str, str, FlowOptions, dict | None, str | None]
-) -> dict[str, object]:
-    """Check one module file; the unit of work for the ``--jobs`` pool.
-
-    The returned payload is a plain dict (picklable, JSON-ready except for
-    the ``solver_stats`` record) and carries timings separately from the
-    stable ``report`` part, so the ``--json`` output can stay
-    deterministic across worker counts.  The check itself is the public
-    :func:`repro.api.check_source` facade over the same routine the
-    daemon serves, which is what makes ``--server`` parity structural.
+    The daemon owns its store (``serve --store``); a client-side
+    directory would be consulted in the wrong process.
     """
-    path, engine, options, budget_spec, store_dir = item
-    try:
-        source = _read_program(path)
-    except OSError as error:
-        return {
-            "file": path,
-            "report": {"file": path, "ok": False, "error": "IOError",
-                       "message": str(error)},
-            "exit": EXIT_USAGE,
-            "trace": {},
-            "solver_stats": None,
-        }
-    budget = (
-        Budget.from_params(budget_spec) if budget_spec is not None else None
-    )
-    outcome = check_source(
-        source, path, engine=engine, options=options, budget=budget,
-        store=_open_worker_store(store_dir),
-    )
-    return {
-        "file": path,
-        "report": outcome.report,
-        "exit": outcome.exit_code,
-        "trace": outcome.trace,
-        "solver_stats": outcome.solver_stats,
-    }
+    store_dir = _resolve_store_dir(args)
+    if args.server and store_dir:
+        print("note: --server ignores --store; pass it to "
+              "`rowpoly serve` instead", file=sys.stderr)
+        return None
+    return store_dir
 
 
 def _code_suffix(payload: dict[str, object]) -> str:
@@ -274,67 +231,54 @@ def _print_trace(payload: dict[str, object]) -> None:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    # Imported here, not at module level: every serve process and shard
+    # imports this module, and none of them needs the audit package.
+    from .audit.discover import AuditPlan, AuditUnit
+    from .audit.execute import ExecuteConfig, execute
+
     files = _collect_check_files(args.paths)
     if files is None:
         return EXIT_USAGE
     if not files:
         print("error: no module files to check", file=sys.stderr)
         return EXIT_USAGE
-    options = FlowOptions(
-        track_fields=not args.no_fields,
-        gc=not args.no_gc,
-    )
-    budget_spec = _budget_params_from_args(args)
-    store_dir = _resolve_store_dir(args)
-    if args.server:
-        from .server.client import check_files_via_server
-
-        if store_dir:
-            # The daemon owns its store (``serve --store``); a client-side
-            # directory would be consulted in the wrong process.
-            print("note: --server ignores --store; pass it to "
-                  "`rowpoly serve` instead", file=sys.stderr)
-
+    # This process reads every file, in argument order, on every
+    # execution path (so ``-`` is stdin here, never a worker's); an
+    # unreadable file becomes its payload in place.
+    payloads: list[dict[str, object] | None] = []
+    units: list[AuditUnit] = []
+    for path in files:
         try:
-            payloads = check_files_via_server(
-                args.server,
-                files,
-                engine=args.engine,
-                options=options,
-                read_program=_read_program,
-                retries=args.retries,
-                retry_seed=args.retry_seed,
-                budget=budget_spec,
-            )
-        except (OSError, ValueError) as error:
-            print(f"error: cannot reach server {args.server}: {error}",
-                  file=sys.stderr)
-            return EXIT_USAGE
-    elif args.jobs > 1 and len(files) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        from .server.shard import spawn_context
-
-        items = [
-            (path, args.engine, options, budget_spec, store_dir)
-            for path in files
-        ]
-        # Pinned "spawn" start method (same as the sharded daemon): the
-        # platform default ``fork`` would clone any importing process's
-        # threads and locks, and differs across OSes and Python versions.
-        with ProcessPoolExecutor(
-            max_workers=args.jobs, mp_context=spawn_context()
-        ) as pool:
-            # ``map`` preserves input order, so every downstream artefact
-            # (JSON, diagnostics, exit code) is independent of scheduling.
-            payloads = list(pool.map(_check_one_file, items))
-    else:
-        payloads = [
-            _check_one_file(
-                (path, args.engine, options, budget_spec, store_dir)
-            )
-            for path in files
-        ]
+            source = _read_program(path)
+        except OSError as error:
+            payloads.append(unchecked_outcome(path, error).payload(path))
+            continue
+        payloads.append(None)
+        units.append(
+            AuditUnit(path, source, fingerprint_source(source), shard=0)
+        )
+    config = ExecuteConfig(
+        engine=args.engine,
+        options=FlowOptions(track_fields=not args.no_fields,
+                            gc=not args.no_gc),
+        budget_spec=_budget_params_from_args(args),
+        store_dir=_batch_store_dir(args),
+        jobs=args.jobs,
+        server=args.server,
+        retries=args.retries,
+        retry_seed=args.retry_seed,
+    )
+    try:
+        checked = iter(execute(AuditPlan(tuple(units), shards=1), config))
+    except (OSError, ValueError) as error:
+        if not args.server:
+            raise
+        print(f"error: cannot reach server {args.server}: {error}",
+              file=sys.stderr)
+        return EXIT_USAGE
+    # ``execute`` keeps plan order, so every downstream artefact (JSON,
+    # diagnostics, exit code) is independent of scheduling.
+    payloads = [p if p is not None else next(checked) for p in payloads]
     exit_code = EXIT_OK
     for payload in payloads:
         exit_code = max(exit_code, payload["exit"])
@@ -560,23 +504,15 @@ def cmd_audit_run(args: argparse.Namespace) -> int:
     from .audit import DiscoveryError, run_audit, render_report, save_findings
     from .server.metrics import ServerMetrics
 
-    options = FlowOptions(
-        track_fields=not args.no_fields,
-        gc=not args.no_gc,
-    )
-    store_dir = _resolve_store_dir(args)
-    if args.server and store_dir:
-        print("note: --server ignores --store; pass it to "
-              "`rowpoly serve` instead", file=sys.stderr)
-        store_dir = None
     metrics = ServerMetrics()
     try:
         result = run_audit(
             args.paths,
             engine=args.engine,
-            options=options,
+            options=FlowOptions(track_fields=not args.no_fields,
+                                gc=not args.no_gc),
             budget_spec=_budget_params_from_args(args),
-            store_dir=store_dir,
+            store_dir=_batch_store_dir(args),
             jobs=args.jobs,
             server=args.server,
             shards=args.shards,

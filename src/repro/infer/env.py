@@ -136,18 +136,6 @@ class TypeEnv:
             if isinstance(entry, Mono):
                 yield name, entry.type
 
-    def free_variable_types(self) -> list[Type]:
-        """Types contributing free variables (for generalisation).
-
-        For Poly entries the scheme body is included; its quantified
-        variables are fresh and never collide with live variables, so
-        including the whole body over-approximates harmlessly — but we
-        still subtract them in ``generalize`` via the entry caches.
-        """
-        return [
-            entry.type if isinstance(entry, Mono) else entry.scheme.body
-            for entry in self._entries.values()
-        ]
 
     def free_type_vars(self) -> set[int]:
         out: set[int] = set()

@@ -316,7 +316,7 @@ class FlowInference(ExtensionRules):
                     eliminate_variable(beta, flag)
         finally:
             beta.stop_trail()
-        if beta.known_unsat and state.options.check_each_let:
+        if beta.known_unsat:
             diagnostics: list[Diagnostic] = []
             if trail is not None:
                 # Diagnose on the pre-elimination formula: the eliminated
@@ -445,11 +445,7 @@ class FlowInference(ExtensionRules):
         if not state.options.track_fields:
             return
         if not force:
-            if state.beta.known_unsat or (
-                state.options.eager_sat_checks
-                and not state.conditional_constraints
-                and state.solve_beta() is None
-            ):
+            if state.beta.known_unsat:
                 diagnostics = _diagnose_budgeted(state)
                 self._raise_flow_unsat(diagnostics, expr.span, expr)
             return
@@ -829,8 +825,7 @@ class FlowInference(ExtensionRules):
         current = env_slot.value
         assert isinstance(current, TypeEnv)
         env_slot.value = current.bind(expr.name, Poly.of(scheme))
-        if state.options.check_each_let:
-            self.check_satisfiable(expr)
+        self.check_satisfiable(expr)
         self.collect_garbage()
         body_type = self.infer(env_slot, expr.body)
         env = env_slot.value

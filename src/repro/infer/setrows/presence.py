@@ -136,13 +136,6 @@ class PresenceSolver:
         if parent in self._false:
             self.forbid(child, self._root_reason(parent, self._false))
 
-    # -- forced state ----------------------------------------------------
-    def is_true(self, atom: int) -> bool:
-        return atom in self._true
-
-    def is_false(self, atom: int) -> bool:
-        return atom in self._false
-
     # -- propagation -----------------------------------------------------
     def _set_true(self, atom: int, evidence: _Evidence) -> None:
         if atom in self._true:

@@ -54,7 +54,6 @@ class FlowOptions:
     gc: bool = True
     env_var_cache: bool = True
     letrec_max_iterations: int = 100
-    check_each_let: bool = True
     # Strict symmetric concatenation: at each ``e1 @@ e2`` additionally
     # *prove* that no field can be present on both sides (an entailment
     # check β ⊨ ¬(f1 ∧ f2) per aligned position).  The paper only sketches
@@ -69,12 +68,6 @@ class FlowOptions:
     # instead of unification).
     lazy_fields: bool = False
     when_conditional: bool = False
-    # Run a full (incremental) satisfiability query at every let boundary
-    # instead of only checking for an already-derived empty clause.  Cheap
-    # with the SatEngine — between checks only the clauses added since the
-    # previous query are ingested — and it reports unsatisfiability at the
-    # offending let rather than at program level.
-    eager_sat_checks: bool = False
     # Debug/testing: after every rule, assert that β mentions only flags
     # attached to live roots (the central invariant behind the stale-flag
     # GC).  Quadratic — tests only.

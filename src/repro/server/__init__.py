@@ -10,7 +10,7 @@ a type checker.  This package keeps it warm:
 * :mod:`protocol`  — newline-delimited JSON-RPC framing and error codes,
 * :mod:`service`   — the canonical "check one module source" routine
   shared by the offline batch checker and the daemon (parity by
-  construction),
+  construction), and the batch payload every execution path returns,
 * :mod:`registry`  — an LRU-bounded pool of warm
   :class:`~repro.infer.session.InferSession` objects keyed by module
   path, invalidated by source fingerprint,
@@ -31,11 +31,12 @@ a type checker.  This package keeps it warm:
   with consistent-hash session affinity over N shard processes,
   fleet-aggregated ``stats``, and shard respawn via the same
   :class:`WorkerSupervisor`,
-* :mod:`client`    — the thin client behind ``rowpoly client``,
+* :mod:`client`    — the thin client behind ``rowpoly client``, and the
+  fleet path of the batch executor (:mod:`repro.audit.execute`) behind
   ``rowpoly check --server ADDR`` and ``rowpoly audit run --server``.
 """
 
-from .client import ServeClient, check_files_via_server
+from .client import ServeClient
 from .daemon import Daemon, DaemonConfig
 from .metrics import ServerMetrics, aggregate_snapshots
 from .registry import SessionRegistry
@@ -55,7 +56,6 @@ __all__ = [
     "ServerMetrics",
     "SessionRegistry",
     "aggregate_snapshots",
-    "check_files_via_server",
     "check_source",
     "fingerprint_source",
     "routing_key",

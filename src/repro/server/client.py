@@ -6,12 +6,13 @@ a request, read lines until the matching ``id`` comes back.  (The daemon
 may interleave responses to pipelined requests; matching by id keeps the
 client correct either way.)
 
-:func:`check_files_batch` is the batch driver behind ``rowpoly audit run
---server`` and, through :func:`check_files_via_server` (which only reads
-the files locally), ``rowpoly check --server ADDR``: it ships each source
-to the daemon and reassembles payloads of exactly the shape the offline
-checker produces — so the downstream printing/exit-code logic in the CLI
-is shared and the ``--json`` output is byte-identical by construction.
+:func:`check_files_batch` is the fleet path of the one batch executor
+(:func:`repro.audit.execute.execute`) behind ``rowpoly check --server
+ADDR`` and ``rowpoly audit run --server``: it ships each source, already
+read by the caller, to the daemon and reassembles payloads of exactly
+the shape the offline path produces — so the downstream printing and
+exit-code logic is shared and the ``--json`` output is byte-identical by
+construction.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Any, Callable, Optional
 
 from ..infer.state import FlowOptions
 from .protocol import RETRYABLE_CODES
-from .service import EXIT_USAGE
+from .service import CheckOutcome, unchecked_outcome
 from .supervisor import backoff_delay
 
 
@@ -306,22 +307,6 @@ class RetryingClient:
             self._sleep(delay)
 
 
-def _error_payload(path: str, kind: str, message: str) -> dict[str, Any]:
-    """The offline-shaped payload for a request that never got a report."""
-    return {
-        "file": path,
-        "report": {
-            "file": path,
-            "ok": False,
-            "error": kind,
-            "message": message,
-        },
-        "exit": EXIT_USAGE,
-        "trace": {},
-        "solver_stats": None,
-    }
-
-
 def check_files_batch(
     address: str,
     items: list[tuple[str, str]],
@@ -336,16 +321,17 @@ def check_files_batch(
 ) -> list[dict[str, Any]]:
     """Fan ``(path, source)`` pairs across a daemon with N connections.
 
-    The batch driver behind ``rowpoly audit run --server`` and ``rowpoly
-    check --server``: sources are already in hand, so this only ships
-    and reassembles.  ``concurrency`` worker threads each own one
-    :class:`RetryingClient` (seeded ``retry_seed + worker``, so retry
-    jitter stays deterministic per worker) and take the statically
-    interleaved slice ``items[worker::concurrency]`` — a deterministic
-    partition, with results placed by original index so the payload list
-    is in input order no matter how the threads are scheduled.  Against
-    a sharded router every connection can land on a different shard,
-    which is what keeps a fleet busy from one audit process.
+    The fleet path of :func:`repro.audit.execute.execute`, behind
+    ``rowpoly check --server`` and ``rowpoly audit run --server``:
+    sources are already in hand, so this only ships and reassembles.
+    ``concurrency`` worker threads each own one :class:`RetryingClient`
+    (seeded ``retry_seed + worker``, so retry jitter stays deterministic
+    per worker) and take the statically interleaved slice
+    ``items[worker::concurrency]`` — a deterministic partition, with
+    results placed by original index so the payload list is in input
+    order no matter how the threads are scheduled.  Against a sharded
+    router every connection can land on a different shard, which is
+    what keeps a fleet busy from one audit process.
 
     Every client connects in the calling thread before any work fans
     out, so an unreachable or malformed address raises here
@@ -372,22 +358,20 @@ def check_files_batch(
                     budget=budget,
                 )
             except ServeError as error:
-                payloads[index] = _error_payload(
-                    path, f"Server{error.name}", str(error)
+                outcome = unchecked_outcome(
+                    path, error, kind=f"Server{error.name}"
                 )
-                continue
             except (ConnectionError, OSError) as error:
-                payloads[index] = _error_payload(
-                    path, "ServerConnectionError", str(error)
+                outcome = unchecked_outcome(
+                    path, error, kind="ServerConnectionError"
                 )
-                continue
-            payloads[index] = {
-                "file": path,
-                "report": result["report"],
-                "exit": result["exit"],
-                "trace": result.get("trace", {}),
-                "solver_stats": None,
-            }
+            else:
+                outcome = CheckOutcome(
+                    report=result["report"],
+                    exit=result["exit"],
+                    trace=result.get("trace", {}),
+                )
+            payloads[index] = outcome.payload(path)
 
     with ExitStack() as stack:
         clients = [
@@ -417,57 +401,9 @@ def check_files_batch(
     return [
         payload
         if payload is not None
-        else _error_payload(
-            items[index][0], "ServerError", "no response (worker died)"
-        )
+        else unchecked_outcome(
+            items[index][0], "no response (worker died)", kind="ServerError"
+        ).payload(items[index][0])
         for index, payload in enumerate(payloads)
     ]
 
-
-def check_files_via_server(
-    address: str,
-    files: list[str],
-    engine: str = "flow",
-    options: Optional[FlowOptions] = None,
-    deadline_ms: Optional[float] = None,
-    read_program=None,
-    retries: int = 4,
-    retry_seed: int = 0,
-    budget: Optional[dict[str, Any]] = None,
-) -> list[dict[str, Any]]:
-    """Drive a file list through a daemon; payloads match the offline path.
-
-    Sources are read locally, so a daemon on another mount checks what
-    the caller sees; a file that cannot be read gets the offline
-    checker's IOError report without a round trip.  The readable ones go
-    through :func:`check_files_batch` on one connection, in order.
-    """
-    if read_program is None:
-        def read_program(path: str) -> str:
-            with open(path) as handle:
-                return handle.read()
-
-    payloads: list[Optional[dict[str, Any]]] = []
-    readable: list[tuple[str, str]] = []
-    for path in files:
-        try:
-            readable.append((path, read_program(path)))
-            payloads.append(None)
-        except OSError as error:
-            payloads.append(_error_payload(path, "IOError", str(error)))
-    served = iter(
-        check_files_batch(
-            address,
-            readable,
-            engine=engine,
-            options=options,
-            budget=budget,
-            deadline_ms=deadline_ms,
-            retries=retries,
-            retry_seed=retry_seed,
-        )
-    )
-    return [
-        payload if payload is not None else next(served)
-        for payload in payloads
-    ]

@@ -63,12 +63,12 @@ from .overload import BrownoutController
 from .registry import SessionRegistry
 from .scheduler import Job, Scheduler
 from .service import (
-    EXIT_USAGE,
     CheckOutcome,
     check_source,
     diagnostic_codes,
     fingerprint_source,
     report_aborted,
+    unchecked_outcome,
 )
 from .supervisor import SessionQuarantine, WorkerSupervisor
 
@@ -502,17 +502,7 @@ class Daemon(Endpoint):
                 except OSError as error:
                     finish("ok")  # served, with a well-formed failure report
                     return self._check_response(
-                        job,
-                        CheckOutcome(
-                            report={
-                                "file": path,
-                                "ok": False,
-                                "error": "IOError",
-                                "message": str(error),
-                            },
-                            exit=EXIT_USAGE,
-                        ),
-                        cached=False,
+                        job, unchecked_outcome(path, error), cached=False
                     )
             entry = self.registry.acquire(path, engine, options)
             with entry.lock:

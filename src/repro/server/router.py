@@ -275,6 +275,21 @@ class ShardPool:
         return clean
 
 
+def _budget_trip(response: dict) -> bool:
+    """Whether a shard's answer is one its ``budget_exceeded`` counts.
+
+    That is an aborted (partial) report, or a ``RESOURCE_LIMIT`` error.
+    """
+    result = response.get("result")
+    if isinstance(result, dict):
+        return bool(result.get("aborted"))
+    error = response.get("error")
+    return (
+        isinstance(error, dict)
+        and error.get("code") == protocol.RESOURCE_LIMIT
+    )
+
+
 class _Inflight:
     """One forwarded request awaiting its shard's response."""
 
@@ -459,13 +474,17 @@ class _ClientConn(Connection):
 
     # -- pump callbacks -------------------------------------------------
     def resolve_line(self, line: str, link: _ShardLink) -> None:
-        """Retire the in-flight entry a shard's response line answers."""
+        """Retire the in-flight entry a shard's response line answers,
+        and count the budget trip it reports, if any."""
         import json
 
         try:
-            response_id = json.loads(line).get("id")
+            response = json.loads(line)
         except ValueError:  # pragma: no cover - shards emit valid JSON
             return
+        response_id = response.get("id")
+        if _budget_trip(response):
+            self.router.record_budget_trip(link.index, link.generation)
         with self._lock:
             entry = self._inflight.get(response_id)
             if entry is not None and entry.link is link:
@@ -560,7 +579,11 @@ class Router(Endpoint):
         self._conns: set[_ClientConn] = set()
         self._conns_lock = threading.Lock()
         self._routed: dict[int, int] = {}
-        self._routed_lock = threading.Lock()
+        #: Budget trips in the answers forwarded from each shard
+        #: generation, keyed ``(index, generation)``: the fleet's count
+        #: for a generation whose own counters died with it.
+        self._budget_trips: dict[tuple[int, int], int] = {}
+        self._counts_lock = threading.Lock()
         self._final_shard_stats: list[dict] = []
 
     # -- lifecycle ------------------------------------------------------
@@ -681,8 +704,13 @@ class Router(Endpoint):
         return None  # pragma: no cover - index came from `live`
 
     def record_routed(self, index: int) -> None:
-        with self._routed_lock:
+        with self._counts_lock:
             self._routed[index] = self._routed.get(index, 0) + 1
+
+    def record_budget_trip(self, index: int, generation: int) -> None:
+        key = (index, generation)
+        with self._counts_lock:
+            self._budget_trips[key] = self._budget_trips.get(key, 0) + 1
 
     # -- stats ----------------------------------------------------------
     def shard_stats(self) -> list[dict]:
@@ -711,23 +739,29 @@ class Router(Endpoint):
         untouched per-shard snapshots ride along under ``"shards"``.
         Counters of a shard generation that *crashed* die with it —
         shared-nothing cuts both ways — while a graceful drain harvests
-        final shard stats first.
+        final shard stats first.  Budget trips are the exception: for
+        every generation whose own counters this read did not get, the
+        trips the router saw in its forwarded answers stand in.
         """
         shard_snaps = self.shard_stats()
-        healthy = [dict(s) for s in shard_snaps if "error" not in s]
-        aggregate = aggregate_snapshots(
-            healthy
-            + [dict(s) for s in self._final_shard_stats]
-            + [self.metrics.snapshot()]
-        )
+        counted = [dict(s) for s in shard_snaps if "error" not in s]
+        counted += [dict(s) for s in self._final_shard_stats]
+        aggregate = aggregate_snapshots(counted + [self.metrics.snapshot()])
         for noise in ("shard", "pid", "generation"):
             aggregate.pop(noise, None)
         aggregate["uptime_seconds"] = time.monotonic() - self.started
-        with self._routed_lock:
+        read = {(s["shard"], s["generation"]) for s in counted}
+        with self._counts_lock:
             routed = {
                 str(index): count
                 for index, count in sorted(self._routed.items())
             }
+            lost_trips = sum(
+                count
+                for key, count in self._budget_trips.items()
+                if key not in read
+            )
+        aggregate["robustness"]["budget_exceeded"] += lost_trips
         live = self.pool.live()
         aggregate["router"] = {
             "shards": self.config.shards,

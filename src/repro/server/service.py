@@ -36,6 +36,10 @@ EXIT_USAGE = 2
 #: none actually failed: the report is partial, not a verdict.
 EXIT_ABORTED = 3
 
+#: File extension collected when a ``check`` path or an audit root is a
+#: directory.
+MODULE_SUFFIX = ".rp"
+
 
 @dataclass
 class CheckOutcome:
@@ -56,6 +60,42 @@ class CheckOutcome:
     #: part of the stable report: reports predate the store and their
     #: bytes are pinned by golden tests and cross-mode parity checks.
     config_digest: str = ""
+
+    def payload(self, path: str) -> dict[str, object]:
+        """The batch payload ``rowpoly check`` and ``audit run`` collect.
+
+        The stable ``report`` travels beside its non-stable companions,
+        so ``--json`` can print the reports alone and stay identical on
+        every execution path.
+        """
+        return {
+            "file": path,
+            "report": self.report,
+            "exit": self.exit,
+            "trace": self.trace,
+            "solver_stats": self.solver_stats,
+        }
+
+
+def unchecked_outcome(
+    path: str, message: object, kind: str = "IOError"
+) -> CheckOutcome:
+    """The outcome of a source that never got a report.
+
+    ``kind`` (the report's ``error``) names why: ``IOError`` for a file
+    that could not be read, a ``Server...`` name for a request a daemon
+    never answered.  The report has no span and no diagnostic, and the
+    exit is the usage exit.
+    """
+    return CheckOutcome(
+        report={
+            "file": path,
+            "ok": False,
+            "error": kind,
+            "message": str(message),
+        },
+        exit=EXIT_USAGE,
+    )
 
 
 def fingerprint_source(source: str) -> str:

@@ -56,10 +56,6 @@ class Deadline:
         )
         self._cancelled = threading.Event()
 
-    @classmethod
-    def after(cls, seconds: Optional[float]) -> "Deadline":
-        return cls(seconds)
-
     def cancel(self) -> None:
         """Request cancellation (thread-safe, idempotent)."""
         self._cancelled.set()

@@ -197,10 +197,6 @@ class Budget:
                 "core_queries", self.core_queries, self._core_spent
             )
 
-    def poll(self) -> None:
-        """The cheap composite check for cooperative hot-loop polling."""
-        self.check_time()
-
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------

@@ -14,7 +14,7 @@ from repro.server.client import (
     RetryingClient,
     ServeClient,
     ServeError,
-    check_files_via_server,
+    check_files_batch,
     request_fingerprint,
 )
 from repro.server.daemon import Daemon, DaemonConfig
@@ -202,14 +202,16 @@ class TestEndToEnd:
         robustness = instance.metrics.snapshot()["robustness"]
         assert robustness["client_retries"] == 2
 
-    def test_check_files_via_server_retries(self, daemon, tmp_path):
+    def test_check_files_batch_retries(self, daemon, tmp_path):
         _, address = daemon(workers=2)
         module = tmp_path / "m.rp"
         module.write_text(WELL_TYPED)
         with injected(
             [FaultRule("scheduler.pickup", 1.0, "crash", limit=1)], seed=2
         ):
-            payloads = check_files_via_server(address, [str(module)])
+            payloads = check_files_batch(
+                address, [(str(module), module.read_text())]
+            )
         assert [p["exit"] for p in payloads] == [0]
         assert payloads[0]["report"]["ok"] is True
 

@@ -102,17 +102,27 @@ class TestCheckJson:
             {"error", "message", "line", "column"} <= set(d) for d in failing
         )
 
-    def test_jobs_byte_identical_output(self, tmp_path, capsys):
+    def test_jobs_byte_identical_output(self, tmp_path, capsys, monkeypatch):
         for index in range(4):
             source = WELL_TYPED if index % 2 == 0 else ILL_TYPED
             (tmp_path / f"m{index}.rp").write_text(source)
-        code_serial = main(["check", "--json", "--jobs", "1", str(tmp_path)])
+        # One module on stdin too: it must be read once, by this
+        # process, whatever N is.
+        monkeypatch.setattr("sys.stdin", io.StringIO(WELL_TYPED))
+        code_serial = main(
+            ["check", "--json", "--jobs", "1", str(tmp_path), "-"]
+        )
         serial = capsys.readouterr().out
-        code_parallel = main(["check", "--json", "--jobs", "4", str(tmp_path)])
+        monkeypatch.setattr("sys.stdin", io.StringIO(WELL_TYPED))
+        code_parallel = main(
+            ["check", "--json", "--jobs", "4", str(tmp_path), "-"]
+        )
         parallel = capsys.readouterr().out
         assert code_serial == code_parallel == 1
         assert serial == parallel
-        assert len(json.loads(serial)) == 4
+        reports = json.loads(serial)
+        assert len(reports) == 5
+        assert reports[-1]["file"] == "-" and reports[-1]["ok"] is True
 
 
 class TestCheckTrace:

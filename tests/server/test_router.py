@@ -23,6 +23,15 @@ let make p = {x = p, y = 2};
 in out
 """
 ILL = "let bad = #a {}; dep = bad in dep"
+#: CDCL-class: one solver step is not enough, so a ``solver_steps: 1``
+#: budget aborts it.
+CDCL = """
+let
+  pair = {x = 1, y = 2};
+  use = \\r -> #x (r @@ {z = 3});
+  it = use pair
+in it
+"""
 
 
 def _start(shards: int, **overrides) -> tuple[Router, str]:
@@ -186,6 +195,34 @@ def test_killed_shard_respawns_and_serves():
                 assert result["exit"] == 0
             stats = client.stats()
             assert stats["robustness"]["shard_restarts"] >= 1
+    finally:
+        _stop(router)
+
+
+def test_budget_trips_outlive_their_shard_generation():
+    router, address = _start(1)
+    try:
+        with ServeClient(address) as client:
+            served = client.check(
+                "mem://starved.rp", CDCL, budget={"solver_steps": 1}
+            )
+            assert served["aborted"] is True
+            # Counted once while the generation that answered lives...
+            assert client.stats()["robustness"]["budget_exceeded"] == 1
+            victim = router.pool.live()[0]
+            victim.process.kill()
+            deadline = time.monotonic() + 30.0
+            while time.monotonic() < deadline:
+                heir = router.pool.handle(victim.index)
+                if heir is not None and heir.generation > victim.generation:
+                    break
+                time.sleep(0.05)
+            else:
+                raise AssertionError("shard was not respawned in time")
+            stats = client.stats()
+        # ...and once after it died, from the answer the router forwarded.
+        assert stats["router"]["live_shards"] == 1
+        assert stats["robustness"]["budget_exceeded"] == 1
     finally:
         _stop(router)
 

@@ -277,8 +277,21 @@ def run_soak(args: argparse.Namespace) -> dict:
                     failures.append(f"{path}: post-recovery report differs")
 
             # ---- daemon-side accounting ------------------------------
-            with ServeClient(address, timeout=10.0) as raw:
-                stats = raw.stats()
+            # A fleet is read only once it has healed: a shard can die
+            # on any request, this ``stats`` read included, and the
+            # supervisor needs a moment to respawn it.
+            heal_deadline = time.monotonic() + 60.0
+            while True:
+                with ServeClient(address, timeout=10.0) as raw:
+                    stats = raw.stats()
+                live = stats.get("router", {}).get("live_shards")
+                if (
+                    args.shards == 0
+                    or live == args.shards
+                    or time.monotonic() > heal_deadline
+                ):
+                    break
+                time.sleep(0.25)
         robustness = stats.get("robustness", {})
         summary["robustness"] = robustness
         summary["daemon_requests"] = stats.get("requests", {})

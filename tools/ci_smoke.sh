@@ -27,13 +27,16 @@ start_serve() {
 
 suite_batch() {
   echo "== Batch-check the example modules"
-  # Every engine, JSON parity between serial and parallel runs.
+  # Every engine, JSON parity between serial and parallel runs (with a
+  # module on stdin, which only this process may read).
   PYTHONPATH=src python -m repro check examples/modules --trace
   for engine in flow mycroft damas-milner; do
     PYTHONPATH=src python -m repro check examples/modules --engine "$engine"
   done
-  PYTHONPATH=src python -m repro check examples/modules --json --jobs 1 > check-serial.json
-  PYTHONPATH=src python -m repro check examples/modules --json --jobs 4 > check-parallel.json
+  PYTHONPATH=src python -m repro check examples/modules - --json --jobs 1 \
+    < examples/modules/decoders.rp > check-serial.json
+  PYTHONPATH=src python -m repro check examples/modules - --json --jobs 4 \
+    < examples/modules/decoders.rp > check-parallel.json
   cmp check-serial.json check-parallel.json
 
   echo "== Run the example scripts"

@@ -41,6 +41,7 @@ from .server.service import (
     CheckOutcome,
     check_source as _service_check_source,
     diagnostic_codes,
+    read_module,
     report_aborted,
     unchecked_outcome,
 )
@@ -183,8 +184,7 @@ def check_path(
     class ``IOError``) rather than raised, matching ``rowpoly check``.
     """
     try:
-        with open(path) as handle:
-            source = handle.read()
+        source = read_module(path)
     except OSError as error:
         return CheckReport.from_outcome(path, unchecked_outcome(path, error))
     return check_source(source, path, engine=engine, options=options)

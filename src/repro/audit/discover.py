@@ -29,7 +29,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from ..server.service import MODULE_SUFFIX, fingerprint_source
+from ..server.service import MODULE_SUFFIX, fingerprint_source, read_module
 
 
 class DiscoveryError(Exception):
@@ -113,8 +113,7 @@ def discover(paths: list[str], shards: int = 1) -> AuditPlan:
     unreadable: list[tuple[str, str]] = []
     for path in _expand_roots(paths):
         try:
-            with open(path) as handle:
-                source = handle.read()
+            source = read_module(path)
         except OSError as error:
             unreadable.append((path, str(error)))
             continue

@@ -334,47 +334,6 @@ class Cnf:
         return f"Cnf({sorted(self._clause_set)})"
 
     # ------------------------------------------------------------------
-    # checkpoint / retraction (used by incremental module sessions)
-    # ------------------------------------------------------------------
-    def checkpoint(self) -> int:
-        """Mark the current end of the clause log for later retraction.
-
-        A checkpoint is a position in the append-only log, like
-        :meth:`cursor`, but intended as the *start* of an interval to be
-        retracted wholesale later.  Two checkpoints taken around a batch of
-        additions delimit exactly that batch (positions never shift —
-        removal leaves tombstones).
-        """
-        return len(self._clauses)
-
-    def retract_interval(self, start: int, end: int) -> list[Clause]:
-        """Remove and return every live clause in positions ``[start, end)``.
-
-        This is the per-declaration clause retraction of the incremental
-        module sessions (:mod:`repro.infer.session`): the clauses a
-        declaration contributed form a contiguous interval of the log, and
-        invalidating the declaration retracts precisely that interval while
-        every other declaration's clauses stay in place.  Bumps the
-        revision (incremental solvers must resynchronise).
-        """
-        removed: list[Clause] = []
-        trail = self._trail
-        for position in range(start, min(end, len(self._clauses))):
-            clause = self._clauses[position]
-            if clause is None:
-                continue
-            removed.append(clause)
-            if trail is not None:
-                trail.removed.append((position, clause))
-            self._clauses[position] = None
-            self._clause_set.discard(clause)
-            for lit in clause:
-                self._index[abs(lit)].discard(position)
-        if removed:
-            self._revision += 1
-        return removed
-
-    # ------------------------------------------------------------------
     # removal (used by projection / GC)
     # ------------------------------------------------------------------
     def remove_clauses_mentioning(self, variables: Iterable[int]) -> list[Clause]:

@@ -286,8 +286,8 @@ class SatEngine:
         The recovery hook for exception safety: an exception thrown out of
         a query (an injected fault, a :class:`~repro.util.BudgetExceeded`
         mid-CDCL-search, a ``KeyboardInterrupt``) can leave the backend
-        and the ingestion cursor mid-update — as can an interval
-        retraction performed *while* such an exception unwinds.  ``reset``
+        and the ingestion cursor mid-update — as can a clause removal
+        performed *while* such an exception unwinds.  ``reset``
         discards every derived structure (backend, cursor, cached result,
         fragment classification) while keeping the attached formula and
         the cumulative telemetry, so the next query rebuilds from the

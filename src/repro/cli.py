@@ -46,6 +46,7 @@ from .server.service import (
     EXIT_USAGE,
     MODULE_SUFFIX,
     fingerprint_source,
+    read_module,
     unchecked_outcome,
 )
 from .types.project import strip
@@ -55,8 +56,7 @@ from .util import run_deep
 def _read_program(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path) as handle:
-        return handle.read()
+    return read_module(path)
 
 
 def cmd_infer(args: argparse.Namespace) -> int:

@@ -74,15 +74,13 @@ class DeclCheck:
     ``signature`` is canonical (stable across sessions and supplies) and
     doubles as the cache-key contribution this declaration makes to its
     dependents.  ``export`` is the engine-specific payload dependents are
-    checked against; ``clauses`` is the declaration's contribution to the
-    session's module-level flow formula (empty for flag-free engines).
+    checked against.
     """
 
     signature: str
     type_text: str
     flow_text: str
     export: object
-    clauses: tuple[Clause, ...] = ()
     trace: dict[str, float] = field(default_factory=dict)
     #: SatEngine telemetry of the run that produced this check (``None``
     #: for solver-free engines); rolled up by ``check --solver-stats``
@@ -286,7 +284,6 @@ class FlowSessionEngine:
             type_text=type_text,
             flow_text=flow_text,
             export=FlowExport(scheme=scheme, flow=flow),
-            clauses=tuple(flow.clauses()),
             trace={
                 "unify": stats.applys_seconds,
                 "sat": stats.solver_seconds,

@@ -12,14 +12,7 @@ cheaply:
   dependency signatures)`` — an edit re-checks only the touched declaration
   and those dependents whose dependency *signatures* actually changed
   (early cutoff: an edit that preserves a signature stops propagating
-  immediately);
-* the module-level flow formula — the conjunction of every declaration's
-  projected signature clauses — kept in one persistent
-  :class:`~repro.boolfn.cnf.Cnf` with a clause *interval* per declaration.
-  Invalidating a declaration retracts its interval
-  (:meth:`Cnf.retract_interval`) and appends the new clauses at the tail;
-  the attached :class:`~repro.boolfn.engine.SatEngine` survives untouched
-  re-checks incrementally and rebuilds once per retraction.
+  immediately).
 
 A session may also sit on a :class:`~repro.store.backend.CacheBackend`
 (the persistent result store): a per-declaration cache miss then consults
@@ -40,6 +33,10 @@ Sect. 5's closure-under-projection argument is what makes the per-
 declaration split precision-preserving: projecting a declaration's β onto
 the flags of its type loses nothing a dependent could observe, so checking
 against signatures agrees with checking the inlined module expression.
+The same argument makes a module-level formula redundant: every
+declaration is proved satisfiable in the context of its dependencies'
+signatures, and signatures share no flags, so their conjunction is
+satisfiable whenever every declaration is.
 """
 
 from __future__ import annotations
@@ -48,8 +45,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from ..boolfn.cnf import Cnf
-from ..boolfn.engine import SatEngine, SolverStats
+from ..boolfn.engine import SolverStats
 from ..diag import Diagnostic, codes, diagnostics_as_dicts
 from ..diag.diagnostic import Pos
 from ..lang.module import Module
@@ -180,8 +176,6 @@ class ModuleResult:
     decls: list[DeclReport]
     checked: int
     reused: int
-    module_satisfiable: Optional[bool]
-    module_clauses: int
     seconds: float
 
     @property
@@ -238,7 +232,6 @@ class SessionStats:
     decls_checked: int = 0
     decls_reused: int = 0
     decls_aborted: int = 0
-    clauses_retracted: int = 0
     #: Persistent-store traffic (zero when no store is attached).
     store_hits: int = 0
     store_misses: int = 0
@@ -257,7 +250,7 @@ class _CacheEntry:
 
 
 class InferSession:
-    """One engine + cache + module formula, reusable across rechecks."""
+    """One engine + per-declaration cache, reusable across rechecks."""
 
     def __init__(
         self,
@@ -271,10 +264,7 @@ class InferSession:
         #: (``None`` = memory only, the pre-store behaviour).
         self.store = store
         self.stats = SessionStats()
-        self.beta = Cnf()
-        self.sat = SatEngine(self.beta)
         self._cache: dict[str, _CacheEntry] = {}
-        self._intervals: dict[str, tuple[int, int]] = {}
         self._config_digest = config_digest(engine, options)
 
     # ------------------------------------------------------------------
@@ -306,71 +296,60 @@ class InferSession:
         started = time.perf_counter()
         self.stats.checks += 1
         for name in set(self._cache) - set(module.names()):
-            self._invalidate(name)
+            del self._cache[name]
         dependencies = module.dependencies()
         decl_map = {decl.name: decl for decl in module}
         checks: dict[str, DeclCheck] = {}
         reports: list[DeclReport] = []
         by_name: dict[str, DeclReport] = {}
         checked = reused = aborted = 0
-        self.sat.budget = budget
-        try:
-            for decl in module:
-                if deadline is not None:
-                    deadline.check()
-                dep_names = dependencies[decl.name]
-                key, failed_dep = self._cache_key(
-                    decl, dep_names, by_name, checks
-                )
-                entry = self._cache.get(decl.name)
-                if entry is not None and entry.key == key:
-                    report = replace(entry.report, cached=True, seconds=0.0,
-                                     trace={})
-                    if entry.check is not None:
-                        checks[decl.name] = entry.check
+        for decl in module:
+            if deadline is not None:
+                deadline.check()
+            dep_names = dependencies[decl.name]
+            key, failed_dep = self._cache_key(
+                decl, dep_names, by_name, checks
+            )
+            entry = self._cache.get(decl.name)
+            if entry is not None and entry.key == key:
+                report = replace(entry.report, cached=True, seconds=0.0,
+                                 trace={})
+                if entry.check is not None:
+                    checks[decl.name] = entry.check
+                reused += 1
+            else:
+                self._cache.pop(decl.name, None)
+                report = None
+                if self.store is not None and failed_dep is None:
+                    report = self._store_lookup(decl, key)
+                if report is not None:
+                    # A store hit is a reuse: no solving happened, no
+                    # export exists (dependents rehydrate).
+                    self._cache[decl.name] = _CacheEntry(key, None, report)
                     reused += 1
                 else:
-                    self._invalidate(decl.name)
-                    report = None
-                    if self.store is not None and failed_dep is None:
-                        report = self._store_lookup(decl, key)
-                    if report is not None:
-                        # A store hit is a reuse: no solving happened,
-                        # no export exists (dependents rehydrate).
-                        self._cache[decl.name] = _CacheEntry(
-                            key, None, report
-                        )
-                        reused += 1
+                    check, report = self._check_decl(
+                        decl, dep_names, failed_dep, checks,
+                        decl_map, dependencies, deadline, budget
+                    )
+                    if check is not None:
+                        checks[decl.name] = check
+                    if report.status == "aborted":
+                        # Never cache an aborted report: it is not a
+                        # verdict, and a budget-starved entry must not
+                        # satisfy (or poison) a later well-funded check.
+                        # The same rule keeps it out of the persistent
+                        # store.
+                        aborted += 1
                     else:
-                        check, report = self._check_decl(
-                            decl, dep_names, failed_dep, checks,
-                            decl_map, dependencies, deadline, budget
+                        self._cache[decl.name] = _CacheEntry(
+                            key, check, report
                         )
-                        if check is not None:
-                            checks[decl.name] = check
-                            self._assert_clauses(decl.name, check)
-                        if report.status == "aborted":
-                            # Never cache an aborted report: it is not a
-                            # verdict, and a budget-starved entry must
-                            # not satisfy (or poison) a later
-                            # well-funded check.  The same rule keeps it
-                            # out of the persistent store.
-                            aborted += 1
-                        else:
-                            self._cache[decl.name] = _CacheEntry(
-                                key, check, report
-                            )
-                            if (
-                                self.store is not None
-                                and failed_dep is None
-                            ):
-                                self._store_persist(key, report)
-                        checked += 1
-                by_name[decl.name] = report
-                reports.append(report)
-            satisfiable = self._module_verdict()
-        finally:
-            self.sat.budget = None
+                        if self.store is not None and failed_dep is None:
+                            self._store_persist(key, report)
+                    checked += 1
+            by_name[decl.name] = report
+            reports.append(report)
         self.stats.decls_checked += checked
         self.stats.decls_reused += reused
         self.stats.decls_aborted += aborted
@@ -379,8 +358,6 @@ class InferSession:
             decls=reports,
             checked=checked,
             reused=reused,
-            module_satisfiable=satisfiable,
-            module_clauses=len(self.beta),
             seconds=time.perf_counter() - started,
         )
 
@@ -557,7 +534,6 @@ class InferSession:
                 budget=budget,
             )
             checks[name] = check
-            self._assert_clauses(name, check)
             self._cache[name] = _CacheEntry(entry.key, check, entry.report)
             self.stats.decls_rehydrated += 1
 
@@ -578,45 +554,6 @@ class InferSession:
 
     def _store_persist(self, key: tuple[str, ...], report: DeclReport) -> None:
         self.store.put(self._store_key(key), report_payload(report))
-
-    def _assert_clauses(self, name: str, check: DeclCheck) -> None:
-        """Append the declaration's signature clauses as its interval."""
-        if not check.clauses:
-            return
-        start = self.beta.checkpoint()
-        for clause in check.clauses:
-            self.beta.add_clause(clause)
-        self._intervals[name] = (start, self.beta.checkpoint())
-
-    def _invalidate(self, name: str) -> None:
-        """Drop a declaration's cache entry and retract its clauses."""
-        self._cache.pop(name, None)
-        interval = self._intervals.pop(name, None)
-        if interval is not None:
-            removed = self.beta.retract_interval(*interval)
-            self.stats.clauses_retracted += len(removed)
-
-    def _module_verdict(self) -> Optional[bool]:
-        """Satisfiability of the conjoined signature clauses.
-
-        ``None`` for engines that do not produce flow clauses.  The
-        declaration signatures have pairwise-disjoint flags, so this is a
-        consistency sanity check rather than new information — each
-        declaration was already checked satisfiable in context — but it
-        exercises the persistent engine's retract/extend path and is the
-        number surfaced by ``--trace``.
-        """
-        if len(self.beta) == 0 and not self._intervals:
-            return None
-        try:
-            return self.sat.solve() is not None
-        except BudgetExceeded:
-            # The module-level sanity query is advisory; a starved budget
-            # degrades it to "unknown" without failing the check.  Reset
-            # the engine so a half-finished backend query cannot leak
-            # into the next request on this session.
-            self.sat.reset()
-            return None
 
 
 def check_module(

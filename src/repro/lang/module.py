@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .ast import Expr, Let, Span, Var, NO_SPAN, free_variables
-from .lexer import TokenKind, tokenize
+from .lexer import Token, TokenKind, tokenize
 from .parser import ParseError, _Parser
 from .pretty import pretty
 
@@ -192,12 +192,8 @@ def module_from_expr(expr: Expr, main: str = MAIN_DECL) -> Module:
     return Module(decls)
 
 
-def _starts_with_binding(source: str) -> bool:
-    """True if the source opens with ``IDENT IDENT* =`` (a binding head)."""
-    try:
-        tokens = tokenize(source)
-    except Exception:
-        return False
+def _starts_with_binding(tokens: list[Token]) -> bool:
+    """True if the tokens open with ``IDENT IDENT* =`` (a binding head)."""
     index = 0
     if tokens and tokens[0].kind is TokenKind.KW_LET:
         index = 1
@@ -215,8 +211,9 @@ def parse_module(source: str, main: str = MAIN_DECL) -> Module:
     ``let`` and trailing ``in body``) or any closed expression (which
     becomes a single declaration named ``main``).
     """
-    if not _starts_with_binding(source):
-        parser = _Parser(tokenize(source))
+    tokens = tokenize(source)
+    parser = _Parser(tokens)
+    if not _starts_with_binding(tokens):
         expr = parser.expr()
         trailing = parser.peek()
         if trailing.kind is not TokenKind.EOF:
@@ -226,7 +223,6 @@ def parse_module(source: str, main: str = MAIN_DECL) -> Module:
                 trailing.span,
             )
         return module_from_expr(expr, main=main)
-    parser = _Parser(tokenize(source))
     if parser.at(TokenKind.KW_LET):
         parser.advance()
     decls: list[Decl] = []

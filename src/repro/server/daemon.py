@@ -67,6 +67,7 @@ from .service import (
     check_source,
     diagnostic_codes,
     fingerprint_source,
+    read_module,
     report_aborted,
     unchecked_outcome,
 )
@@ -497,8 +498,7 @@ class Daemon(Endpoint):
             path, source, engine, options = self._check_params(job.params)
             if source is None:
                 try:
-                    with open(path) as handle:
-                        source = handle.read()
+                    source = read_module(path)
                 except OSError as error:
                     finish("ok")  # served, with a well-formed failure report
                     return self._check_response(
@@ -519,7 +519,6 @@ class Daemon(Endpoint):
                         engine=engine,
                         options=options,
                         session=entry.session,
-                        recheck=entry.checks > 0,
                         deadline=job.deadline,
                         budget=job.budget,
                         deep=False,

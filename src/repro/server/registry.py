@@ -8,8 +8,8 @@ requests for different modules run concurrently across the worker pool.
 Invalidation is fingerprint-based: an entry remembers the content hash of
 the last source it checked and the finished outcome.  A request whose
 source hashes identically is a **replay hit** and returns the stored
-outcome without touching the engine; a differing hash flows into
-``InferSession.recheck``, which re-infers only what the edit actually
+outcome without touching the engine; a differing hash is checked on the
+warm ``InferSession``, which re-infers only what the edit actually
 invalidated (an *invalidation*, counted separately from a miss).
 
 Eviction is LRU on the registry order.  Evicting drops the registry's

@@ -98,6 +98,23 @@ def unchecked_outcome(
     )
 
 
+def read_module(path: str) -> str:
+    """The text of a module file, decoded as UTF-8.
+
+    A file that is not valid UTF-8 raises :class:`OSError` naming the
+    path and the byte offset, so every reader reports it exactly as it
+    reports a missing file: through :func:`unchecked_outcome`.
+    """
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError as error:
+            raise OSError(
+                f"{path}: not valid UTF-8 (byte {error.start}: "
+                f"{error.reason})"
+            ) from error
+
+
 def fingerprint_source(source: str) -> str:
     """Content hash used for warm-session invalidation and replay hits."""
     return hashlib.sha256(source.encode()).hexdigest()[:24]
@@ -197,7 +214,6 @@ def check_source(
     engine: str = "flow",
     options: Optional[FlowOptions] = None,
     session: Optional[InferSession] = None,
-    recheck: bool = False,
     deadline: Optional[Deadline] = None,
     budget: Optional[Budget] = None,
     deep: bool = True,
@@ -206,9 +222,8 @@ def check_source(
     """Check one module source and package the outcome.
 
     ``session=None`` checks in a fresh throwaway session (the offline
-    path); a provided session is used warm (the daemon path), with
-    ``recheck=True`` routing through :meth:`InferSession.recheck` so the
-    session's counters tell check and re-check traffic apart.
+    path); a provided session is used warm (the daemon path), so an edit
+    re-checks only the declarations it touched.
 
     ``deep=True`` runs parse and inference on a deep-stack thread
     (:func:`repro.util.run_deep`) — required for the right-nested Fig. 9
@@ -255,10 +270,7 @@ def check_source(
     parse_seconds = time.perf_counter() - parse_started
     if session is None:
         session = InferSession(engine, options, store=store)
-    if recheck:
-        result = run(lambda: session.recheck(module, deadline, budget))
-    else:
-        result = run(lambda: session.check(module, deadline, budget))
+    result = run(lambda: session.check(module, deadline, budget))
     report: dict[str, object] = {"file": path}
     report.update(result.as_dict())
     trace = {"parse": parse_seconds, "total": time.perf_counter() - started}

@@ -52,6 +52,15 @@ class TestDiscover:
             str(tmp_path / "dangling.rp")
         ]
 
+    def test_undecodable_file_is_unreadable(self, tmp_path):
+        _write_tree(tmp_path)
+        (tmp_path / "latin1.rp").write_bytes(b"b = 1 \xff\n")
+        plan = discover([str(tmp_path)])
+        assert len(plan) == 3
+        [(path, message)] = plan.unreadable
+        assert path == str(tmp_path / "latin1.rp")
+        assert message.startswith(path) and "byte 6" in message
+
 
 class TestSharding:
     def test_shard_is_content_derived(self, tmp_path):

@@ -113,7 +113,7 @@ def test_trail_rebuilds_the_pre_elimination_formula(
 def test_trail_records_retraction_and_refuses_compaction():
     beta = Cnf([(1, 2), (-2, 3)])
     trail = beta.start_trail()
-    beta.retract_interval(0, 1)
+    beta.remove_clauses_mentioning({1})
     beta.add_clause((4,))
     with pytest.raises(RuntimeError):
         beta.compact()

@@ -4,14 +4,14 @@ The engine keeps derived state (backend, ingestion cursor, cached
 result) synchronised with its attached :class:`Cnf` lazily.  An
 exception thrown out of a query — an injected fault, a
 ``BudgetExceeded`` mid-CDCL-search — can interrupt that machinery
-mid-update, and the module session may then *retract a clause interval
-while the exception unwinds* (its ``_invalidate`` path).  ``reset`` is
-the recovery hook: drop everything derived, keep the formula, rebuild
-from ground truth on the next query.
+mid-update, and its caller may then *remove clauses while the exception
+unwinds* (``Cnf.remove_clauses_mentioning``, the removal β performs).
+``reset`` is the recovery hook: drop everything derived, keep the
+formula, rebuild from ground truth on the next query.
 
-The regression here pins the exact historical hazard: checkpoint →
-add clauses → exception inside solve → retract_interval → the next
-query on a non-reset engine must still agree with a fresh engine.
+The regression here pins that hazard: add clauses → exception inside
+solve → remove them → after ``reset`` the next query must agree with a
+fresh engine.
 """
 
 import pytest
@@ -72,24 +72,21 @@ class TestReset:
 
 
 class TestRetractionDuringUnwind:
-    """The checkpoint → exception → retract_interval regression."""
+    """The add → exception → remove regression."""
 
     def _interrupted_retract(self, engine, cnf):
-        """Add an interval, die inside solve, retract while unwinding."""
-        start = cnf.checkpoint()
+        """Add clauses on a fresh variable 6, die inside solve, remove
+        them while unwinding."""
         cnf.add_clause((6, 7))
         cnf.add_clause((-6, 8))
-        end = cnf.checkpoint()
         try:
             with injected(
                 [FaultRule("engine.solve", 1.0, "error", limit=1)]
             ):
                 engine.solve()
         except FaultError:
-            # The session's _invalidate runs exactly here: retraction
-            # while the engine's derived state is suspect.
-            cnf.retract_interval(start, end)
-        return start, end
+            # Removal while the engine's derived state is suspect.
+            cnf.remove_clauses_mentioning({6})
 
     def test_reset_then_solve_matches_fresh_engine(self):
         cnf, engine = engine_with(GENERAL)
@@ -107,20 +104,18 @@ class TestRetractionDuringUnwind:
     def test_retraction_is_idempotent_after_reset(self):
         cnf, engine = engine_with(GENERAL)
         engine.solve()
-        start, end = self._interrupted_retract(engine, cnf)
+        self._interrupted_retract(engine, cnf)
         engine.reset()
-        # Retracting the same (already-tombstoned) interval again must
+        # Removing the same (already-tombstoned) clauses again must
         # change nothing: positions never shift, removal is final.
-        assert cnf.retract_interval(start, end) == []
+        assert cnf.remove_clauses_mentioning({6}) == []
         assert engine.solve() is not None
 
     def test_unsat_interval_retracted_restores_sat(self):
         cnf, engine = engine_with(GENERAL)
         assert engine.solve() is not None
-        start = cnf.checkpoint()
         cnf.add_clause((9,))
         cnf.add_clause((-9,))
-        end = cnf.checkpoint()
         assert engine.solve() is None
         try:
             with injected(
@@ -128,6 +123,6 @@ class TestRetractionDuringUnwind:
             ):
                 engine.solve()
         except FaultError:
-            cnf.retract_interval(start, end)
+            cnf.remove_clauses_mentioning({9})
         engine.reset()
         assert engine.solve() is not None

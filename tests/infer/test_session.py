@@ -43,11 +43,6 @@ class TestFreshCheck:
         result = check_module(module, engine)
         assert result.ok
 
-    def test_module_verdict_only_for_flow(self):
-        module = parse_module(WELL_TYPED)
-        assert check_module(module, "flow").module_satisfiable is True
-        assert check_module(module, "mycroft").module_satisfiable is None
-
     def test_ill_typed_declaration_and_dependents(self, engine):
         # `#a (plus 1 true)` fails under every engine: a unification
         # clash for the term engines, a non-Pre field for Pottier (the
@@ -129,8 +124,6 @@ class TestIncrementalRecheck:
         assert fixed.report("get").cached
 
     def test_removed_declaration_is_invalidated(self):
-        # `a` has signature clauses (field present, row closed); removing
-        # it must retract its interval from the module formula.
         module = parse_module("a = {x = 1}; b = 2")
         session = InferSession("flow")
         session.check(module)
@@ -139,7 +132,6 @@ class TestIncrementalRecheck:
         assert result.ok
         assert [r.name for r in result.decls] == ["b"]
         assert result.report("b").cached
-        assert session.stats.clauses_retracted > 0
 
     def test_stats_accumulate(self, engine):
         module = parse_module(WELL_TYPED)
@@ -173,18 +165,7 @@ class TestCanonicalSignatures:
             assert "cached" not in decl
 
 
-class TestModuleFormula:
-    def test_clause_intervals_retracted_on_edit(self):
-        module = parse_module(WELL_TYPED)
-        session = InferSession("flow")
-        first = session.check(module)
-        assert first.module_satisfiable is True
-        before = session.stats.clauses_retracted
-        edited = module.with_decl("get", parse(r"\r -> #b r"))
-        result = session.recheck(edited)
-        assert result.module_satisfiable is True
-        assert session.stats.clauses_retracted > before
-
+class TestUnknownEngine:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
             InferSession("banana")

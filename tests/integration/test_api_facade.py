@@ -112,6 +112,18 @@ class TestCheckPathFacade:
         assert report.exit_code == 2
         assert report.report["error"] == "IOError"
 
+    def test_undecodable_file(self, tmp_path):
+        path = tmp_path / "latin1.rp"
+        path.write_bytes(b"b = 1 \xff\n")
+        report = check_path(str(path))
+        assert report.exit_code == 2
+        assert report.report == {
+            "file": str(path),
+            "ok": False,
+            "error": "IOError",
+            "message": f"{path}: not valid UTF-8 (byte 6: invalid start byte)",
+        }
+
 
 class TestSchemaValidation:
     def test_offline_json_validates(self, tmp_path, capsys, schema):

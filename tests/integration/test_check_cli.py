@@ -124,6 +124,23 @@ class TestCheckJson:
         assert len(reports) == 5
         assert reports[-1]["file"] == "-" and reports[-1]["ok"] is True
 
+    def test_undecodable_file_is_unreadable_at_every_jobs(
+        self, tmp_path, capsys
+    ):
+        (tmp_path / "a.rp").write_text(WELL_TYPED)
+        (tmp_path / "b.rp").write_bytes(b"b = 1 \xff\n")
+        outputs = []
+        for jobs in ("1", "4"):
+            assert main(
+                ["check", "--json", "--jobs", jobs, str(tmp_path)]
+            ) == 2
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        good, bad = json.loads(outputs[0])
+        assert good["ok"] is True
+        assert bad["error"] == "IOError"
+        assert bad["message"].startswith(str(tmp_path / "b.rp"))
+
 
 class TestCheckTrace:
     def test_trace_goes_to_stderr(self, module_file, capsys):
@@ -161,6 +178,13 @@ class TestInferExitCodes:
     def test_missing_file_is_exit_2(self, capsys):
         assert main(["infer", "/definitely/not/there.rp"]) == 2
         assert capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["infer", "eval"])
+    def test_undecodable_file_is_exit_2(self, command, tmp_path, capsys):
+        path = tmp_path / "latin1.rp"
+        path.write_bytes(b"plus 1 \xff\n")
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
     def test_eval_parse_error_is_exit_2(self, monkeypatch, capsys):
         monkeypatch.setattr("sys.stdin", io.StringIO("1 +"))

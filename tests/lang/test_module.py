@@ -4,6 +4,7 @@ import pytest
 
 from repro.lang import (
     MAIN_DECL,
+    LexError,
     Module,
     ParseError,
     module_from_expr,
@@ -11,8 +12,14 @@ from repro.lang import (
     parse,
     parse_module,
     pretty,
+    tokenize,
 )
+from repro.lang import module as module_layer
 from repro.lang.module import Decl
+
+#: One binding-shaped and one expression-shaped source: the two paths
+#: of ``parse_module``.
+BINDING_AND_EXPRESSION = ["a = 1;\nb = plus a 1", "plus 1\n  2"]
 
 
 class TestParseModule:
@@ -57,6 +64,29 @@ class TestParseModule:
     def test_junk_after_expression_rejected(self):
         with pytest.raises(ParseError):
             parse_module("plus 1 2 }")
+
+    @pytest.mark.parametrize("source", BINDING_AND_EXPRESSION)
+    def test_source_is_tokenized_once(self, source, monkeypatch):
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(module_layer, "tokenize", counting)
+        parse_module(source)
+        assert calls == [source]
+
+    @pytest.mark.parametrize("source", BINDING_AND_EXPRESSION)
+    def test_lex_error_comes_from_tokenize(self, source):
+        source += " $"
+        with pytest.raises(LexError) as expected:
+            tokenize(source)
+        with pytest.raises(LexError) as raised:
+            parse_module(source)
+        assert str(raised.value) == str(expected.value)
+        assert raised.value.span == expected.value.span
+        assert raised.value.span.line == 2
 
 
 class TestDependencies:

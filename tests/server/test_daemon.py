@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from repro.api import check_path
 from repro.server.client import ServeClient, ServeError
 from repro.server.daemon import Daemon, DaemonConfig
 from repro.server.service import EXIT_ILL_TYPED, EXIT_USAGE, check_source
@@ -110,6 +111,20 @@ class TestCheckParity:
             served = client.check("/definitely/not/there.rp")
         assert served["exit"] == EXIT_USAGE
         assert served["report"]["error"] == "IOError"
+
+    def test_undecodable_file_is_unreadable_not_quarantined(
+        self, daemon, tmp_path
+    ):
+        _, address = daemon()
+        module = tmp_path / "latin1.rp"
+        module.write_bytes(b"b = 1 \xff\n")
+        offline = check_path(str(module))
+        # One past the default quarantine threshold of three strikes.
+        with ServeClient(address) as client:
+            answers = [client.check(str(module)) for _ in range(4)]
+        for served in answers:
+            assert served["exit"] == EXIT_USAGE
+            assert _report(served["report"]) == _report(offline.report)
 
 
 class TestDeadlines:

@@ -39,6 +39,19 @@ suite_batch() {
     < examples/modules/decoders.rp > check-parallel.json
   cmp check-serial.json check-parallel.json
 
+  echo "== An undecodable module is reported unreadable"
+  # Not valid UTF-8: an IOError report and exit 2, the same bytes at
+  # every --jobs.
+  printf 'b = 1 \xff\n' > undecodable.rp
+  for jobs in 1 4; do
+    rc=0
+    PYTHONPATH=src python -m repro check examples/modules undecodable.rp \
+      --json --jobs "$jobs" > "check-undecodable-$jobs.json" || rc=$?
+    test "$rc" -eq 2
+  done
+  cmp check-undecodable-1.json check-undecodable-4.json
+  grep -q '"error": "IOError"' check-undecodable-1.json
+
   echo "== Run the example scripts"
   for script in examples/*.py; do
     PYTHONPATH=src python "$script" > /dev/null

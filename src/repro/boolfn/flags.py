@@ -51,6 +51,16 @@ class FlagSupply:
         """A copy of the flag -> debug-name table (diagnostics only)."""
         return dict(self._names)
 
+    def reset_names(self, names: dict[int, str]) -> None:
+        """Forget every debug name, then record ``names``.
+
+        The counter of issued flags is untouched, so flags stay unique.
+        A session calls this before each check, so that the table holds
+        only the names that check can reach, not every name ever
+        recorded.
+        """
+        self._names = dict(names)
+
     @property
     def issued(self) -> int:
         """Number of flags issued so far."""

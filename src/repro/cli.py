@@ -53,15 +53,9 @@ from .types.project import strip
 from .util import run_deep
 
 
-def _read_program(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return read_module(path)
-
-
 def cmd_infer(args: argparse.Namespace) -> int:
     try:
-        source = _read_program(args.file)
+        source = read_module(args.file)
         expr = run_deep(lambda: parse(source))
     except OSError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -249,7 +243,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     units: list[AuditUnit] = []
     for path in files:
         try:
-            source = _read_program(path)
+            source = read_module(path)
         except OSError as error:
             payloads.append(unchecked_outcome(path, error).payload(path))
             continue
@@ -603,7 +597,7 @@ def cmd_audit_diff(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     try:
-        source = _read_program(args.file)
+        source = read_module(args.file)
         expr = run_deep(lambda: parse(source))
     except OSError as error:
         print(f"error: {error}", file=sys.stderr)

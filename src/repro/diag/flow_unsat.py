@@ -210,8 +210,9 @@ def fallback_diagnostic(state) -> Diagnostic:
     """The ``RP0999`` diagnostic: unsat without a structured witness.
 
     Lists the asserted field selections still mentioned by β (or, when
-    projection already dropped them, any selection the flag supply ever
-    named) so the user gets at least one source anchor.
+    projection already dropped them, any selection the flag supply
+    names: in a session, the check's own and those its dependencies'
+    exports carry) so the user gets at least one source anchor.
     """
     name_of = state.flags.name_of
     in_beta = state.beta.variables()

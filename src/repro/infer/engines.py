@@ -222,10 +222,15 @@ def _scheme_signature(body: Type, flow: Optional[Cnf]) -> tuple[str, str, str]:
 # ---------------------------------------------------------------------------
 @dataclass
 class FlowExport:
-    """Flow-engine payload: the scheme plus its projected signature flow."""
+    """Flow-engine payload: the scheme plus its projected signature flow.
+
+    ``names`` holds the debug names of the scheme's flags, which a
+    dependent's diagnostics may inherit.
+    """
 
     scheme: Scheme
     flow: Cnf
+    names: dict[int, str]
 
 
 class FlowSessionEngine:
@@ -234,7 +239,10 @@ class FlowSessionEngine:
     The session owns one variable supply and one flag supply; every
     declaration is checked by a fresh :class:`FlowInference` drawing from
     them, in an environment binding each dependency to its exported scheme
-    with the dependency's signature clauses seeded into the local β.
+    with the dependency's signature clauses seeded into the local β.  The
+    flag supply's debug names are those of one check at a time, seeded
+    from the dependencies' exports, so a long-lived session does not
+    accumulate a name for every flag it ever issued.
     """
 
     def __init__(self, options: Optional[FlowOptions] = None,
@@ -254,6 +262,10 @@ class FlowSessionEngine:
     ) -> DeclCheck:
         if budget is not None:
             budget.check_time()
+        names: dict[int, str] = {}
+        for _, dep in deps:
+            names.update(dep.export.names)
+        self.flags.reset_names(names)
         state = FlowState(self.options, vars=self.vars, flags=self.flags)
         state.deadline = deadline
         state.budget = budget
@@ -279,11 +291,20 @@ class FlowSessionEngine:
         )
         signature, type_text, flow_text = _scheme_signature(t, flow)
         stats = state.stats
+        flags = self.flags
         return DeclCheck(
             signature=signature,
             type_text=type_text,
             flow_text=flow_text,
-            export=FlowExport(scheme=scheme, flow=flow),
+            export=FlowExport(
+                scheme=scheme,
+                flow=flow,
+                names={
+                    flag: flags.name_of(flag)
+                    for flag in all_flags(t)
+                    if not flags.is_anonymous(flag)
+                },
+            ),
             trace={
                 "unify": stats.applys_seconds,
                 "sat": stats.solver_seconds,

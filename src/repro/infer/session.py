@@ -14,6 +14,20 @@ cheaply:
   (early cutoff: an edit that preserves a signature stops propagating
   immediately).
 
+Cache keys hold no source position, and neither does an ``ok`` report.
+A failing report does: its own line and column, and diagnostics that
+name where the records of its witness were made, in the declaration and
+in the dependencies whose flags it inherited.  So do the flag names of a
+flow export.  When a declaration or one of its transitive dependencies
+has moved (its :attr:`~repro.lang.module.Decl.layout` changed), the
+session re-checks the declaration's failing report and drops its export
+(rebuilt from the declaration, like a store-served one, when a
+dependent needs it).
+
+A session remembers the module it last checked (:attr:`InferSession.module`),
+so the next source can be parsed against it
+(:func:`~repro.lang.module.parse_module`'s ``previous``).
+
 A session may also sit on a :class:`~repro.store.backend.CacheBackend`
 (the persistent result store): a per-declaration cache miss then consults
 the store — keyed on the same ``(fingerprint, dependency signatures)``
@@ -41,6 +55,7 @@ satisfiable whenever every declaration is.
 
 from __future__ import annotations
 
+import hashlib
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -48,7 +63,7 @@ from typing import Optional
 from ..boolfn.engine import SolverStats
 from ..diag import Diagnostic, codes, diagnostics_as_dicts
 from ..diag.diagnostic import Pos
-from ..lang.module import Module
+from ..lang.module import Decl, Module
 from ..store.backend import CacheBackend
 from ..store.keys import config_digest, decl_key
 from ..testing.faults import fault_point
@@ -247,6 +262,8 @@ class _CacheEntry:
     key: tuple[str, ...]
     check: Optional[DeclCheck]
     report: DeclReport
+    #: The declaration the entry was last valid for (its layout).
+    decl: Decl
 
 
 class InferSession:
@@ -264,6 +281,8 @@ class InferSession:
         #: (``None`` = memory only, the pre-store behaviour).
         self.store = store
         self.stats = SessionStats()
+        #: The module of the last :meth:`check` (``None`` before one).
+        self.module: Optional[Module] = None
         self._cache: dict[str, _CacheEntry] = {}
         self._config_digest = config_digest(engine, options)
 
@@ -295,13 +314,20 @@ class InferSession:
         """
         started = time.perf_counter()
         self.stats.checks += 1
+        self.module = module
         for name in set(self._cache) - set(module.names()):
             del self._cache[name]
         dependencies = module.dependencies()
+        self._forget_moved(module, dependencies)
         decl_map = {decl.name: decl for decl in module}
         checks: dict[str, DeclCheck] = {}
         reports: list[DeclReport] = []
         by_name: dict[str, DeclReport] = {}
+        stamps: dict[str, str] = {}
+
+        def stamp(name: str) -> str:
+            return _layout_stamp(name, decl_map, dependencies, stamps)
+
         checked = reused = aborted = 0
         for decl in module:
             if deadline is not None:
@@ -321,11 +347,13 @@ class InferSession:
                 self._cache.pop(decl.name, None)
                 report = None
                 if self.store is not None and failed_dep is None:
-                    report = self._store_lookup(decl, key)
+                    report = self._store_lookup(decl, key, stamp)
                 if report is not None:
                     # A store hit is a reuse: no solving happened, no
                     # export exists (dependents rehydrate).
-                    self._cache[decl.name] = _CacheEntry(key, None, report)
+                    self._cache[decl.name] = _CacheEntry(
+                        key, None, report, decl
+                    )
                     reused += 1
                 else:
                     check, report = self._check_decl(
@@ -343,10 +371,10 @@ class InferSession:
                         aborted += 1
                     else:
                         self._cache[decl.name] = _CacheEntry(
-                            key, check, report
+                            key, check, report, decl
                         )
                         if self.store is not None and failed_dep is None:
-                            self._store_persist(key, report)
+                            self._store_persist(key, report, stamp)
                     checked += 1
             by_name[decl.name] = report
             reports.append(report)
@@ -375,6 +403,39 @@ class InferSession:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+    def _forget_moved(
+        self, module: Module, dependencies: dict[str, tuple[str, ...]]
+    ) -> None:
+        """Drop the cached parts that name positions a move made stale.
+
+        A declaration has moved when its layout differs from that of the
+        declaration its entry was made for (an unchanged declaration is
+        usually the very same object, so no layout is computed), and it
+        counts as moved when it has no entry or one of its dependencies
+        moved, since a dependency's flag names reach its dependents.  A
+        moved declaration loses its failing report (re-checked) or its
+        export (rebuilt on demand).  Runs before any deadline check, so
+        every entry is judged against the same module.
+        """
+        moved: set[str] = set()
+        for decl in module:
+            entry = self._cache.get(decl.name)
+            if (
+                entry is not None
+                and (entry.decl is decl or entry.decl.layout == decl.layout)
+                and moved.isdisjoint(dependencies[decl.name])
+            ):
+                entry.decl = decl
+                continue
+            moved.add(decl.name)
+            if entry is None:
+                continue
+            if entry.report.ok:
+                entry.check = None
+                entry.decl = decl
+            else:
+                del self._cache[decl.name]
+
     def _cache_key(
         self,
         decl,
@@ -534,26 +595,70 @@ class InferSession:
                 budget=budget,
             )
             checks[name] = check
-            self._cache[name] = _CacheEntry(entry.key, check, entry.report)
+            self._cache[name] = _CacheEntry(
+                entry.key, check, entry.report, decl_map[name]
+            )
             self.stats.decls_rehydrated += 1
 
     def _store_key(self, key: tuple[str, ...]) -> str:
         return decl_key(key[0], key[1:], self._config_digest)
 
     def _store_lookup(
-        self, decl, key: tuple[str, ...]
+        self, decl, key: tuple[str, ...], stamp
     ) -> Optional[DeclReport]:
-        """A usable report from the persistent store, or ``None``."""
+        """A usable report from the persistent store, or ``None``.
+
+        A failing report is usable only at the layout ``stamp(name)`` it
+        was stored with; one stored without a layout is a miss.
+        """
         payload = self.store.get(self._store_key(key))
         report = None if payload is None else report_from_payload(payload)
-        if report is None or report.name != decl.name:
+        if (
+            report is None
+            or report.name != decl.name
+            or (not report.ok and payload.get("layout") != stamp(decl.name))
+        ):
             self.stats.store_misses += 1
             return None
         self.stats.store_hits += 1
         return report
 
-    def _store_persist(self, key: tuple[str, ...], report: DeclReport) -> None:
-        self.store.put(self._store_key(key), report_payload(report))
+    def _store_persist(
+        self, key: tuple[str, ...], report: DeclReport, stamp
+    ) -> None:
+        payload = report_payload(report)
+        if not report.ok:
+            payload["layout"] = stamp(report.name)
+        self.store.put(self._store_key(key), payload)
+
+
+def _layout_stamp(
+    name: str,
+    decl_map: dict,
+    dependencies: dict[str, tuple[str, ...]],
+    memo: dict[str, str],
+) -> str:
+    """Hash of the layouts of ``name`` and of its transitive dependencies:
+    the positions a failing report stored beside its key was made at.
+
+    Computed only for failing reports, dependencies first (iteratively:
+    a long dependency chain must not exhaust the stack).
+    """
+    pending = [name]
+    while pending:
+        top = pending[-1]
+        if top in memo:
+            pending.pop()
+            continue
+        missing = [dep for dep in dependencies[top] if dep not in memo]
+        if missing:
+            pending.extend(missing)
+            continue
+        pending.pop()
+        parts = [decl_map[top].layout]
+        parts.extend(memo[dep] for dep in dependencies[top])
+        memo[top] = hashlib.sha256(" ".join(parts).encode()).hexdigest()[:16]
+    return memo[name]
 
 
 def check_module(

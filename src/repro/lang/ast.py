@@ -26,10 +26,14 @@ from typing import Union
 
 @dataclass(frozen=True)
 class Span:
-    """Half-open source region ``[start, end)`` in character offsets."""
+    """Where a node starts in its source: 1-based line and column.
 
-    start: int
-    end: int
+    A span holds no character offset, so a declaration whose text and
+    start position are unchanged has the spans a fresh parse would give
+    it, wherever the rest of the source moved (the incremental re-parse
+    of :func:`repro.lang.module.parse_module` relies on this).
+    """
+
     line: int = 0
     column: int = 0
 
@@ -37,7 +41,7 @@ class Span:
         return f"{self.line}:{self.column}"
 
 
-NO_SPAN = Span(0, 0, 0, 0)
+NO_SPAN = Span(0, 0)
 
 
 @dataclass(frozen=True)

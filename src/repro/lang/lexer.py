@@ -72,11 +72,12 @@ KEYWORDS = {
 
 @dataclass(frozen=True)
 class Token:
-    """One lexical token with its source span."""
+    """One lexical token: its source span and its character offset."""
 
     kind: TokenKind
     text: str
     span: Span
+    offset: int
 
     def __str__(self) -> str:
         return f"{self.kind.name}({self.text!r})@{self.span}"
@@ -126,45 +127,65 @@ _PUNCT = {
 }
 
 
-def tokenize(source: str) -> list[Token]:
-    """Tokenize ``source``; the result always ends with an EOF token."""
+def tokenize(
+    source: str,
+    start: int = 0,
+    end: int | None = None,
+    line: int = 1,
+    column: int = 1,
+) -> list[Token]:
+    """Tokenize ``source[start:end]``; the result always ends with an EOF
+    token at ``end``.
+
+    ``line`` and ``column`` give the position of ``source[start]``, so a
+    region cut out of a larger source gets the spans a tokenization of
+    the whole source would give it.  A token that runs on past ``end``
+    (the region ends inside a comment or a name, say) is a
+    :class:`LexError`: the region is not a run of whole tokens.
+    """
+    if end is None:
+        end = len(source)
     tokens: list[Token] = []
-    position = 0
-    line = 1
-    line_start = 0
-    length = len(source)
-    while position < length:
+    position = start
+    line_start = start - column + 1
+    while position < end:
         match = _TOKEN_RE.match(source, position)
         if match is None:
-            span = Span(position, position + 1, line, position - line_start + 1)
+            span = Span(line, position - line_start + 1)
             raise LexError(
                 f"unexpected character {source[position]!r} at {span}", span
             )
+        offset = position
         position = match.end()
         kind_name = match.lastgroup
         text = match.group()
+        if position > end:
+            span = Span(line, offset - line_start + 1)
+            raise LexError(f"{text!r} at {span} runs past the region", span)
         if kind_name == "nl":
             line += 1
             line_start = position
             continue
         if kind_name in ("ws", "comment"):
             continue
-        span = Span(match.start(), position, line, match.start() - line_start + 1)
+        span = Span(line, offset - line_start + 1)
         if kind_name == "int":
-            tokens.append(Token(TokenKind.INT, text, span))
+            tokens.append(Token(TokenKind.INT, text, span, offset))
         elif kind_name == "ident":
-            tokens.append(Token(KEYWORDS.get(text, TokenKind.IDENT), text, span))
+            tokens.append(
+                Token(KEYWORDS.get(text, TokenKind.IDENT), text, span, offset)
+            )
         elif kind_name == "atbrace":
-            tokens.append(Token(TokenKind.AT_BRACE, text, span))
+            tokens.append(Token(TokenKind.AT_BRACE, text, span, offset))
         elif kind_name == "atbracket":
-            tokens.append(Token(TokenKind.AT_BRACKET, text, span))
+            tokens.append(Token(TokenKind.AT_BRACKET, text, span, offset))
         elif kind_name == "atat":
-            tokens.append(Token(TokenKind.AT_AT, text, span))
+            tokens.append(Token(TokenKind.AT_AT, text, span, offset))
         elif kind_name == "arrow":
-            tokens.append(Token(TokenKind.ARROW, text, span))
+            tokens.append(Token(TokenKind.ARROW, text, span, offset))
         else:
-            tokens.append(Token(_PUNCT[text], text, span))
+            tokens.append(Token(_PUNCT[text], text, span, offset))
     tokens.append(
-        Token(TokenKind.EOF, "", Span(length, length, line, length - line_start + 1))
+        Token(TokenKind.EOF, "", Span(line, end - line_start + 1), end)
     )
     return tokens

@@ -24,16 +24,24 @@ Declarations carry a *fingerprint* (a content hash of the pretty-printed
 expression, spans excluded) and the module computes the dependency
 relation between declarations — the inputs to the per-declaration result
 cache of :class:`repro.infer.session.InferSession`.
+
+A binding-sequence module also keeps its source and where each
+declaration starts in it (:class:`SourceIndex`).  Given the module of
+the previous version of a source, :func:`parse_module` re-parses only the
+declarations an edit touched and reuses every other :class:`Decl` object,
+with the fingerprint and free variables already cached on it.
 """
 
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Optional
 
-from .ast import Expr, Let, Span, Var, NO_SPAN, free_variables
-from .lexer import Token, TokenKind, tokenize
+from .ast import Expr, Let, Span, Var, NO_SPAN, free_variables, subexpressions
+from .lexer import LexError, Token, TokenKind, tokenize
 from .parser import ParseError, _Parser
 from .pretty import pretty
 
@@ -59,17 +67,63 @@ class Decl:
         payload = f"{self.name} = {pretty(self.expr)}"
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
+    @cached_property
+    def free_vars(self) -> frozenset[str]:
+        """The free variables of ``expr`` (see :meth:`Module.dependencies`)."""
+        return free_variables(self.expr)
+
+    @cached_property
+    def layout(self) -> str:
+        """Hash of where the declaration and each of its nodes start.
+
+        The complement of :attr:`fingerprint`: two declarations with equal
+        fingerprints and equal layouts have equal ASTs, spans included.
+        Node spans are the only positions a report or a flag name
+        carries, so an edit that moves none of them (a same-length
+        literal bump) leaves the layout as it was.
+        """
+        spans = [self.span] + [e.span for e in subexpressions(self.expr)]
+        payload = " ".join(str(span) for span in spans)
+        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
     def __repr__(self) -> str:
         return f"Decl({self.name!r})"
 
 
+@dataclass(frozen=True)
+class SourceIndex:
+    """Where the declarations of a binding-sequence module sit in its source.
+
+    ``starts[i]`` is the offset of the name of the module's ``i``-th
+    declaration, for each binding of the sequence; the declarations after
+    those come from the ``in`` body, whose ``in`` is at offset ``body``
+    (``None`` when there is no body).  ``main`` names the body's
+    declaration.
+    """
+
+    source: str
+    main: str
+    starts: tuple[int, ...]
+    body: Optional[int]
+
+
 class Module:
-    """An ordered sequence of uniquely named top-level declarations."""
+    """An ordered sequence of uniquely named top-level declarations.
 
-    __slots__ = ("decls", "_by_name")
+    ``index`` is set on a binding-sequence module parsed from source; it
+    is what lets :func:`parse_module` re-parse an edited version of that
+    source incrementally.
+    """
 
-    def __init__(self, decls: tuple[Decl, ...] | list[Decl]) -> None:
+    __slots__ = ("decls", "_by_name", "index")
+
+    def __init__(
+        self,
+        decls: tuple[Decl, ...] | list[Decl],
+        index: Optional[SourceIndex] = None,
+    ) -> None:
         self.decls = tuple(decls)
+        self.index = index
         self._by_name: dict[str, Decl] = {}
         for decl in self.decls:
             if decl.name in self._by_name:
@@ -105,17 +159,15 @@ class Module:
         dependencies; scoping is sequential, so later names cannot be
         referenced).
         """
+        position = {decl.name: index for index, decl in enumerate(self.decls)}
         out: dict[str, tuple[str, ...]] = {}
-        seen: dict[str, int] = {}
         for index, decl in enumerate(self.decls):
-            free = free_variables(decl.expr)
-            deps = tuple(
-                earlier.name
-                for earlier in self.decls[:index]
-                if earlier.name in free
+            earlier = sorted(
+                position[name]
+                for name in decl.free_vars
+                if position.get(name, index) < index
             )
-            out[decl.name] = deps
-            seen[decl.name] = index
+            out[decl.name] = tuple(self.decls[i].name for i in earlier)
         return out
 
     def dependents(self) -> dict[str, frozenset[str]]:
@@ -204,13 +256,27 @@ def _starts_with_binding(tokens: list[Token]) -> bool:
     return index < len(tokens) and tokens[index].kind is TokenKind.EQUALS
 
 
-def parse_module(source: str, main: str = MAIN_DECL) -> Module:
+def parse_module(
+    source: str,
+    main: str = MAIN_DECL,
+    previous: Optional[Module] = None,
+) -> Module:
     """Parse a module source; raise :class:`ParseError` on junk.
 
     Accepts a top-level binding sequence (with or without the leading
     ``let`` and trailing ``in body``) or any closed expression (which
     becomes a single declaration named ``main``).
+
+    ``previous`` is the module parsed from an earlier version of the
+    source.  Its declarations that an edit left in place are reused, and
+    only the touched ones are re-parsed; the result equals a fresh parse
+    of ``source`` either way, spans included.  Every error comes from the
+    fresh parse.
     """
+    if previous is not None:
+        module = _reparse(source, main, previous)
+        if module is not None:
+            return module
     tokens = tokenize(source)
     parser = _Parser(tokens)
     if not _starts_with_binding(tokens):
@@ -225,22 +291,48 @@ def parse_module(source: str, main: str = MAIN_DECL) -> Module:
         return module_from_expr(expr, main=main)
     if parser.at(TokenKind.KW_LET):
         parser.advance()
+    decls, starts, body, _ = _bindings(parser, main, set())
+    trailing = parser.peek()
+    if trailing.kind is not TokenKind.EOF:
+        raise ParseError(
+            f"unexpected {trailing.kind.value!r} ({trailing.text!r}) after "
+            f"module declarations at {trailing.span}",
+            trailing.span,
+        )
+    return Module(decls, SourceIndex(source, main, tuple(starts), body))
+
+
+def _bindings(
+    parser: _Parser, main: str, taken: set[str]
+) -> tuple[list[Decl], list[int], Optional[int], bool]:
+    """Parse ``binding (';' binding)* [';'] ['in' body]`` up to EOF.
+
+    The one binding loop of both the fresh and the incremental parse.
+    ``taken`` holds the names of the bindings before the parser's first
+    token.  Returns the declarations, the offset of each binding's name,
+    the offset of ``in`` (``None`` without a body) and whether the last
+    binding was closed by a ``;``.
+    """
     decls: list[Decl] = []
-    span = parser.peek().span
-    name, bound = parser.binding()
-    decls.append(Decl(name, bound, span))
-    while parser.at(TokenKind.SEMI):
+    starts: list[int] = []
+    closed = False
+    while True:
+        token = parser.peek()
+        name, bound = parser.binding()
+        decls.append(Decl(name, bound, token.span))
+        starts.append(token.offset)
+        if not parser.at(TokenKind.SEMI):
+            break
         parser.advance()
         if parser.at(TokenKind.KW_IN) or parser.at(TokenKind.EOF):
-            break  # tolerate a trailing semicolon
-        span = parser.peek().span
-        name, bound = parser.binding()
-        decls.append(Decl(name, bound, span))
+            closed = True  # tolerate a trailing semicolon
+            break
+    body_offset: Optional[int] = None
     if parser.at(TokenKind.KW_IN):
-        parser.advance()
+        body_offset = parser.advance().offset
         span = parser.peek().span
         body = parser.expr()
-        taken = {decl.name for decl in decls}
+        taken = taken | {decl.name for decl in decls}
         # The body's own outer let-chain is lifted too, so
         # ``let a = 1 in let b = a in e`` and ``let a = 1; b = a in e``
         # produce the same module.
@@ -252,11 +344,99 @@ def parse_module(source: str, main: str = MAIN_DECL) -> Module:
         while body_name in taken:
             body_name += "_"
         decls.append(Decl(body_name, body, span))
-    trailing = parser.peek()
-    if trailing.kind is not TokenKind.EOF:
-        raise ParseError(
-            f"unexpected {trailing.kind.value!r} ({trailing.text!r}) after "
-            f"module declarations at {trailing.span}",
-            trailing.span,
+    return decls, starts, body_offset, closed
+
+
+def _reparse(source: str, main: str, previous: Module) -> Optional[Module]:
+    """``source`` parsed by re-using ``previous``, or ``None`` when the
+    edit calls for a fresh parse.
+
+    A declaration is reused only when its text is unchanged and it
+    starts at the same line and column, so that each of its spans is
+    what a fresh parse would give.  The re-parsed window runs from the
+    declaration the edit starts in to the first declaration after the
+    edit that kept its position, or to the end of the source.  A fresh
+    parse is needed when the edit touches the header, when the window
+    ends inside a token or comment or is not a run of whole bindings
+    each closed by ``;`` (unless it runs to the end), and when its
+    bindings are named differently (the body declarations' names
+    depend on them).
+    """
+    index = previous.index
+    if index is None or index.main != main:
+        return None  # not a binding sequence, or another body name
+    old = index.source
+    if source == old:
+        return previous
+    prefix = _common_prefix(old, source)
+    suffix = min(
+        _common_prefix(old[::-1], source[::-1]),
+        min(len(old), len(source)) - prefix,
+    )
+    old_end = len(old) - suffix
+    shift = len(source) - len(old)
+    starts = index.starts
+    if prefix < starts[0]:
+        return None  # the header: `let` and the comments before it
+    first = bisect_right(starts, prefix) - 1
+    last = len(starts)
+    if old.count("\n", prefix, old_end) == source.count(
+        "\n", prefix, old_end + shift
+    ):
+        for later in range(first + 1, len(starts)):
+            offset = starts[later]
+            if offset > old_end and _column(source, offset + shift) == (
+                previous.decls[later].span.column
+            ):
+                last = later
+                break
+    start = previous.decls[first].span
+    end = len(source) if last == len(starts) else starts[last] + shift
+    kept = previous.decls[:first]
+    try:
+        parser = _Parser(
+            tokenize(source, starts[first], end, start.line, start.column)
         )
-    return Module(decls)
+        window, window_starts, body, closed = _bindings(
+            parser, main, {decl.name for decl in kept}
+        )
+    except (ParseError, LexError):
+        return None  # the fresh parse raises it
+    if not parser.at(TokenKind.EOF):
+        return None
+    if last < len(starts):
+        replaced = previous.decls[first:last]
+        if body is not None or not closed or (
+            {decl.name for decl in window}
+            != {decl.name for decl in replaced}
+        ):
+            return None
+        window.extend(previous.decls[last:])
+        window_starts.extend(offset + shift for offset in starts[last:])
+        body = None if index.body is None else index.body + shift
+    try:
+        return Module(
+            kept + tuple(window),
+            SourceIndex(
+                source, main, starts[:first] + tuple(window_starts), body
+            ),
+        )
+    except ParseError:
+        return None  # a duplicate name: the fresh parse raises it
+
+
+def _common_prefix(a: str, b: str) -> int:
+    """Length of the longest common prefix of ``a`` and ``b``."""
+    low, high = 0, min(len(a), len(b))
+    while low < high:
+        middle = (low + high + 1) // 2
+        if a.startswith(b[low:middle], low):
+            low = middle
+        else:
+            high = middle - 1
+    return low
+
+
+def _column(source: str, offset: int) -> int:
+    """The 1-based column of ``source[offset]``."""
+    return offset - source.rfind("\n", 0, offset)

@@ -362,8 +362,17 @@ class Daemon(Endpoint):
         if not isinstance(path, str) or not path:
             raise _InvalidParams("'path' must be a non-empty string")
         source = params.get("source")
-        if source is not None and not isinstance(source, str):
-            raise _InvalidParams("'source' must be a string when given")
+        if source is not None:
+            if not isinstance(source, str):
+                raise _InvalidParams("'source' must be a string when given")
+            try:
+                source.encode()
+            except UnicodeEncodeError as error:
+                # A lone surrogate: JSON can carry one, UTF-8 cannot.
+                raise _InvalidParams(
+                    f"'source' is not valid Unicode text (character "
+                    f"{error.start}: {error.reason})"
+                ) from None
         engine = params.get("engine", self.config.engine)
         if engine not in REGISTRY.session_names():
             raise _InvalidParams(

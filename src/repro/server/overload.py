@@ -167,21 +167,36 @@ class ServiceTimeEstimator:
     Until a method has been observed, ``predict`` falls back to the
     combined lane, and before *any* observation it returns ``None`` so
     admission control stays wide open on a cold daemon.
+
+    Only completions refresh an estimate, and a scheduler that sheds
+    every job completes none, so an estimate above every request's
+    deadline would shed them all for good.  :meth:`stale` tells the
+    scheduler when no completion has confirmed the estimate for longer
+    than the estimate itself; an idle pool then serves one job as a
+    probe, whose completion updates it.
     """
 
     COMBINED = "*"
 
-    def __init__(self, alpha: float = 0.2) -> None:
+    def __init__(
+        self,
+        alpha: float = 0.2,
+        clock: Callable[[], float] = time.monotonic,
+    ) -> None:
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
         self.alpha = alpha
+        self._clock = clock
         self._lock = threading.Lock()
         self._ewma: dict[str, float] = {}
+        #: When each lane last observed a completion.
+        self._observed_at: dict[str, float] = {}
 
     def observe(self, method: str, seconds: float) -> None:
         if seconds < 0.0:
             return
         with self._lock:
+            now = self._clock()
             for lane in (method, self.COMBINED):
                 previous = self._ewma.get(lane)
                 self._ewma[lane] = (
@@ -189,13 +204,26 @@ class ServiceTimeEstimator:
                     if previous is None
                     else previous + self.alpha * (seconds - previous)
                 )
+                self._observed_at[lane] = now
+
+    def _lane(self, method: str) -> str:
+        return method if method in self._ewma else self.COMBINED
 
     def predict(self, method: str) -> Optional[float]:
         with self._lock:
-            value = self._ewma.get(method)
+            return self._ewma.get(self._lane(method))
+
+    def stale(self, method: str) -> bool:
+        """Whether the estimate ``predict(method)`` is older than itself:
+        no completion has confirmed it for longer than one predicted
+        service, though an idle worker would have finished a job in that
+        time.  ``False`` before any observation."""
+        with self._lock:
+            lane = self._lane(method)
+            value = self._ewma.get(lane)
             if value is None:
-                value = self._ewma.get(self.COMBINED)
-            return value
+                return False
+            return self._clock() - self._observed_at[lane] > value
 
     def snapshot(self) -> dict[str, float]:
         """EWMA service time per method, in milliseconds."""

@@ -12,7 +12,12 @@ this one file:
   remaining deadline is below the predicted queue-wait + service time is
   refused *now* (verdict ``"shed"``, with a computed ``retry_after_ms``)
   instead of queueing work that can only 408 — under overload that is
-  the difference between goodput and a queue full of doomed requests;
+  the difference between goodput and a queue full of doomed requests.
+  The EWMA learns only from jobs a worker served, and an idle pool whose
+  estimate has gone stale
+  (:meth:`~repro.server.overload.ServiceTimeEstimator.stale`) serves
+  the job anyway as a probe, so an estimate above every deadline cannot
+  shed forever;
 * **deadlines** — every job carries a :class:`~repro.util.Deadline`.  A
   job whose deadline passed while it sat in the queue is answered with a
   timeout *without ever touching a session*; one that expires mid-service
@@ -257,10 +262,14 @@ class Scheduler:
         ``None`` until the estimator has observed any completion (a cold
         daemon never sheds).
         """
-        service = self.estimator.predict(method)
+        return self._predicted(self.estimator.predict(method), self.backlog())
+
+    def _predicted(
+        self, service: Optional[float], backlog: int
+    ) -> Optional[float]:
         if service is None:
             return None
-        return service * (self.backlog() / self._worker_count + 1.0)
+        return service * (backlog / self._worker_count + 1.0)
 
     def submit(self, job: Job) -> Admission:
         """Accept a job, or refuse with a reason.
@@ -275,25 +284,38 @@ class Scheduler:
         fault_point("scheduler.submit")
         if self._draining.is_set():
             return Admission("shutting-down")
-        predicted = self.predicted_response_seconds(job.method)
-        if self.shed and predicted is not None:
-            remaining = job.deadline.remaining()
-            if remaining is not None and remaining < predicted:
-                # Doomed at admission: by the time this job reached a
-                # worker its deadline would already have burned.  Shed
-                # now and tell the client when the excess should have
-                # drained.
-                if self.metrics is not None:
-                    self.metrics.record_request(job.method, "shed")
-                    self.metrics.record_overload_event("requests_shed")
-                excess = predicted - max(remaining, 0.0)
-                return Admission(
-                    "shed",
-                    retry_after_ms=int(excess * 1000.0) + 1,
-                    predicted_ms=predicted * 1000.0,
-                )
+        service = self.estimator.predict(job.method)
+        stale = self.shed and self.estimator.stale(job.method)
         with self._jobs_lock:
-            self._jobs[job.key] = job
+            # Backlog, verdict and intake under one lock, so concurrent
+            # submits cannot all admit themselves to the same idle pool.
+            backlog = len(self._jobs)
+            predicted = self._predicted(service, backlog)
+            remaining = job.deadline.remaining()
+            doomed = (
+                self.shed
+                and predicted is not None
+                and remaining is not None
+                and remaining < predicted
+                # An idle pool serves a job its stale estimate would
+                # shed: only a completion can lower the estimate.
+                and not (backlog == 0 and stale)
+            )
+            if not doomed:
+                self._jobs[job.key] = job
+        if doomed:
+            # By the time this job reached a worker its deadline would
+            # already have burned.  Shed now and tell the client when
+            # the excess should have drained.
+            if self.metrics is not None:
+                self.metrics.record_request(job.method, "shed")
+                self.metrics.record_overload_event("requests_shed")
+            excess = predicted - max(remaining, 0.0)
+            return Admission(
+                "shed",
+                retry_after_ms=int(excess * 1000.0) + 1,
+                predicted_ms=predicted * 1000.0,
+            )
         try:
             self._queue.put_nowait(job)
         except queue.Full:
@@ -338,6 +360,10 @@ class Scheduler:
                 self._active[index] = (job, time.monotonic())
             queue_seconds = time.monotonic() - job.enqueued_at
             service_started = time.monotonic()
+            # Expired or cancelled in the queue: answered without
+            # service, so its answer says nothing about what serving
+            # costs.
+            unserved = job.deadline.expired() or job.deadline.cancelled
             crash: Optional[WorkerCrash] = None
             try:
                 fault_point("scheduler.pickup")
@@ -374,7 +400,7 @@ class Scheduler:
                 with self._jobs_lock:
                     self._jobs.pop(job.key, None)
                     self._active.pop(index, None)
-            if crash is None:
+            if crash is None and not unserved:
                 # Feed the admission-control EWMA with what serving this
                 # job actually cost (errors included — effort is effort;
                 # crashes excluded — the thread is about to die anyway).
@@ -385,5 +411,10 @@ class Scheduler:
                 job.respond(response)
             except (OSError, ValueError):
                 pass  # client went away (ValueError: closed file object)
+            # Yield the interpreter lock before the next job: threads of
+            # this process waiting on the answer or with a request to
+            # submit run now, not a switch interval (5 ms by default, the
+            # order of a warm re-check) into the next job's computation.
+            time.sleep(0)
             if crash is not None:
                 return  # thread dies (quietly); the supervisor respawns

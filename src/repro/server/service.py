@@ -15,6 +15,8 @@ and carry none).
 from __future__ import annotations
 
 import hashlib
+import io
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -99,20 +101,32 @@ def unchecked_outcome(
 
 
 def read_module(path: str) -> str:
-    """The text of a module file, decoded as UTF-8.
+    """The text of a module file, decoded as UTF-8; ``-`` reads stdin.
 
-    A file that is not valid UTF-8 raises :class:`OSError` naming the
+    A module that is not valid UTF-8 raises :class:`OSError` naming the
     path and the byte offset, so every reader reports it exactly as it
-    reports a missing file: through :func:`unchecked_outcome`.
+    reports a missing file: through :func:`unchecked_outcome`.  Stdin's
+    bytes are decoded here as a file's are (strictly, with universal
+    newlines), not by the stream's own, possibly lenient, error handler;
+    a stdin that is a text stream (no byte buffer behind it) is already
+    decoded.
     """
-    with open(path, encoding="utf-8") as handle:
+    try:
+        if path != "-":
+            with open(path, encoding="utf-8") as handle:
+                return handle.read()
+        stdin = getattr(sys.stdin, "buffer", None)
+        if stdin is None:
+            return sys.stdin.read()
+        text = io.TextIOWrapper(stdin, encoding="utf-8")
         try:
-            return handle.read()
-        except UnicodeDecodeError as error:
-            raise OSError(
-                f"{path}: not valid UTF-8 (byte {error.start}: "
-                f"{error.reason})"
-            ) from error
+            return text.read()
+        finally:
+            text.detach()  # leave stdin open for a later read
+    except UnicodeDecodeError as error:
+        raise OSError(
+            f"{path}: not valid UTF-8 (byte {error.start}: {error.reason})"
+        ) from error
 
 
 def fingerprint_source(source: str) -> str:
@@ -223,7 +237,8 @@ def check_source(
 
     ``session=None`` checks in a fresh throwaway session (the offline
     path); a provided session is used warm (the daemon path), so an edit
-    re-checks only the declarations it touched.
+    re-parses and re-checks only the declarations it touched: the source
+    is parsed against the module the session last checked.
 
     ``deep=True`` runs parse and inference on a deep-stack thread
     (:func:`repro.util.run_deep`) — required for the right-nested Fig. 9
@@ -258,8 +273,9 @@ def check_source(
             return cached
     started = time.perf_counter()
     parse_started = time.perf_counter()
+    previous = None if session is None else session.module
     try:
-        module = run(lambda: parse_module(source))
+        module = run(lambda: parse_module(source, previous=previous))
     except (ParseError, LexError) as error:
         return CheckOutcome(
             report=_failure_report(path, error, getattr(error, "span", None)),

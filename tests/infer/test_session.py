@@ -195,3 +195,126 @@ class TestFailingDeclarationTelemetry:
             "decl", "status", "error", "message", "line", "column",
             "code", "diagnostics",
         }
+
+
+class TestMovedDeclarations:
+    """A failing report names source positions (its own, and where the
+    records of its witness were made, possibly in a dependency); a warm
+    session must re-derive it when the text around it moves."""
+
+    SOURCE = "a = {}\n;\nb = #foo a\n"
+
+    @pytest.mark.parametrize(
+        "moved",
+        [
+            "\n\n" + SOURCE,  # both declarations move down two lines
+            "\na = {};\nb = #foo a\n",  # only the dependency moves
+            "a =  {}\n;\nb = #foo a\n",  # a node inside the dependency
+            "a = {}\n;\nb =  #foo a\n",  # a node inside the declaration
+        ],
+    )
+    def test_warm_session_reports_where_offline_does(self, moved):
+        from repro.server.service import check_source
+
+        session = InferSession()
+        check_source("m.rp", self.SOURCE, session=session)
+        warm = check_source("m.rp", moved, session=session)
+        offline = check_source("m.rp", moved)
+        assert warm.report["decls"][1]["status"] == "error"
+        assert warm.report == offline.report
+
+    def test_unmoved_failing_report_is_reused(self):
+        from repro.server.service import check_source
+
+        session = InferSession()
+        check_source("m.rp", self.SOURCE, session=session)
+        # A new declaration after the failure moves nothing before it.
+        edited = self.SOURCE + ";\nc = 1\n"
+        checked = session.check(parse_module(edited))
+        assert checked.report("b").cached
+        assert not checked.report("c").cached
+
+    def test_dependency_error_follows_its_declaration(self):
+        source = "a = #x {};\nb = a\n"
+        session = InferSession()
+        session.check(parse_module(source))
+        warm = session.check(parse_module("\n" + source))
+        fresh = check_module(parse_module("\n" + source))
+        assert warm.report("b").status == "dependency-error"
+        assert warm.as_dict() == fresh.as_dict()
+
+
+class TestFlagNameTable:
+    """A warm flow session keeps debug names for what its live exports
+    and the current check can reach, not for every flag it issued."""
+
+    def test_name_table_does_not_grow_with_edits(self):
+        from repro.gdsl import FIG9_CORPORA, build_corpus
+
+        source = build_corpus(FIG9_CORPORA[1], 0.02, seed=0).source
+        session = InferSession()
+        session.check(parse_module(source))
+        sizes = []
+        for bump in range(1, 31):
+            edited = source.replace("@{opnd0 = 32}", f"@{{opnd0 = {bump}}}")
+            session.check(parse_module(edited, previous=session.module))
+            sizes.append(len(session.engine.flags.named_flags()))
+        assert sizes[-1] == sizes[0]
+        assert session.engine.flags.issued > 10 * sizes[-1]
+
+    def test_export_names_only_its_own_flags(self):
+        from repro.types.terms import all_flags
+
+        session = InferSession()
+        session.check(parse_module(WELL_TYPED))
+        for entry in session._cache.values():
+            export = entry.check.export
+            assert set(export.names) <= set(all_flags(export.scheme.body))
+
+    def test_fallback_cites_the_selections_its_check_reaches(self):
+        # RP0999 lists selections from the check's name table: here the
+        # one inside dependency ``k``, reached through its export, and
+        # never the selection of ``g``, which ``it`` does not depend on.
+        source = (
+            "let\n"
+            "  g = \\r -> #x r;\n"
+            "  k = \\s -> when foo in s then #foo s else #bar s;\n"
+            "  it = k {}\n"
+            "in it\n"
+        )
+        expected = (
+            "a record field may be accessed without having been set "
+            "(asserted selections: 'foo' at {at}, 'foo' at {at})"
+        )
+        offline = check_module(parse_module(source)).report("it")
+        assert offline.code == "RP0999"
+        assert offline.message == expected.format(at="3:32")
+        session = InferSession()
+        session.check(parse_module(source))
+        moved = "\n" + source
+        warm = session.check(parse_module(moved, previous=session.module))
+        assert warm.report("it").message == expected.format(at="4:32")
+        assert warm.as_dict() == check_module(parse_module(moved)).as_dict()
+
+    def test_fallback_without_a_selection_in_beta_reads_the_check_table(self):
+        # When projection has dropped every asserted selection from β,
+        # RP0999 lists the selections the flag supply names: after a
+        # reset, only those the check was seeded with.
+        from types import SimpleNamespace
+
+        from repro.boolfn.flags import FlagSupply
+        from repro.diag.flow_unsat import fallback_diagnostic
+
+        flags = FlagSupply()
+        earlier = flags.fresh("select:x@2:13")
+        dependency = flags.fresh("select:foo@3:32")
+        flags.reset_names({dependency: flags.name_of(dependency)})
+        state = SimpleNamespace(
+            flags=flags, beta=SimpleNamespace(variables=lambda: set())
+        )
+        diagnostic = fallback_diagnostic(state)
+        assert earlier not in flags.named_flags()
+        assert diagnostic.message == (
+            "a record field may be accessed without having been set "
+            "(asserted selections: 'foo' at 3:32)"
+        )

@@ -17,6 +17,14 @@ in out
 ILL_TYPED = "let bad = #a {}; dep = bad in dep"
 
 
+def _byte_stdin(data: bytes) -> io.TextIOWrapper:
+    """A stdin over ``data`` that, like the interpreter's own, decodes
+    leniently: undecodable bytes become surrogates."""
+    return io.TextIOWrapper(
+        io.BytesIO(data), encoding="utf-8", errors="surrogateescape"
+    )
+
+
 @pytest.fixture()
 def module_file(tmp_path):
     def write(source, name="module.rp"):
@@ -141,6 +149,36 @@ class TestCheckJson:
         assert bad["error"] == "IOError"
         assert bad["message"].startswith(str(tmp_path / "b.rp"))
 
+    def test_undecodable_stdin_is_unreadable(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", _byte_stdin(b"b = 1 \xff\n"))
+        assert main(["check", "--json", "-"]) == 2
+        (report,) = json.loads(capsys.readouterr().out)
+        assert report["error"] == "IOError"
+        assert report["message"] == (
+            "-: not valid UTF-8 (byte 6: invalid start byte)"
+        )
+
+    @pytest.mark.parametrize("newline", [b"\r", b"\r\n"])
+    def test_stdin_translates_newlines_like_a_file(
+        self, newline, tmp_path, monkeypatch, capsys
+    ):
+        # A comment line and a failing declaration below it: without
+        # newline translation a CR-only module is one line, which the
+        # comment swallows, and the failing line moves.
+        data = newline.join(
+            [b"-- header", b"a = {}", b";", b"b = #foo a", b""]
+        )
+        path = tmp_path / "module.rp"
+        path.write_bytes(data)
+        assert main(["check", "--json", str(path)]) == 1
+        (from_file,) = json.loads(capsys.readouterr().out)
+        monkeypatch.setattr("sys.stdin", _byte_stdin(data))
+        assert main(["check", "--json", "-"]) == 1
+        (from_stdin,) = json.loads(capsys.readouterr().out)
+        assert from_stdin == dict(from_file, file="-")
+        failing = [d for d in from_stdin["decls"] if d["status"] != "ok"]
+        assert [(d["decl"], d["line"]) for d in failing] == [("b", 4)]
+
 
 class TestCheckTrace:
     def test_trace_goes_to_stderr(self, module_file, capsys):
@@ -185,6 +223,12 @@ class TestInferExitCodes:
         path.write_bytes(b"plus 1 \xff\n")
         assert main([command, str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize("command", ["infer", "eval"])
+    def test_undecodable_stdin_is_exit_2(self, command, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", _byte_stdin(b"plus 1 \xff\n"))
+        assert main([command, "-"]) == 2
+        assert capsys.readouterr().err.startswith("error: -: not valid UTF-8")
 
     def test_eval_parse_error_is_exit_2(self, monkeypatch, capsys):
         monkeypatch.setattr("sys.stdin", io.StringIO("1 +"))

@@ -78,3 +78,29 @@ class TestTokenize:
             TokenKind.SEMI,
             TokenKind.EQUALS,
         ]
+
+
+class TestRegion:
+    """``tokenize(source, start, end, line, column)`` lexes a region of a
+    larger source exactly as lexing the whole source would."""
+
+    SOURCE = "a = 1;\n  bb = {x = 2}; -- note\n  c = bb\n"
+
+    def test_region_tokens_match_the_whole_source(self):
+        whole = tokenize(self.SOURCE)
+        start = self.SOURCE.index("bb")
+        end = self.SOURCE.index("c =")
+        region = tokenize(self.SOURCE, start, end, 2, 3)
+        expected = [t for t in whole if start <= t.offset < end]
+        assert [(t.kind, t.text, t.span, t.offset) for t in region[:-1]] == [
+            (t.kind, t.text, t.span, t.offset) for t in expected
+        ]
+        assert region[-1].kind is TokenKind.EOF
+        assert region[-1].offset == end
+
+    @pytest.mark.parametrize("inside", ["-- note", "bb"])
+    def test_token_running_past_the_region_raises(self, inside):
+        # The region ends one character into a comment or a name.
+        end = self.SOURCE.index(inside) + 1
+        with pytest.raises(LexError):
+            tokenize(self.SOURCE, 0, end)

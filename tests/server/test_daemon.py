@@ -126,6 +126,37 @@ class TestCheckParity:
             assert served["exit"] == EXIT_USAGE
             assert _report(served["report"]) == _report(offline.report)
 
+    def test_lone_surrogate_source_is_invalid_params_not_quarantined(
+        self, daemon
+    ):
+        _, address = daemon()
+        # One past the default quarantine threshold of three strikes.
+        with ServeClient(address) as client:
+            for _ in range(4):
+                with pytest.raises(ServeError) as excinfo:
+                    client.check("m.rp", "b = 1 \udcff\n")
+                assert excinfo.value.code == -32602
+                assert "not valid Unicode" in str(excinfo.value)
+            served = client.check("m.rp", WELL_TYPED)
+        assert served["exit"] == 0
+        assert _report(served["report"]) == _report(
+            check_source("m.rp", WELL_TYPED).report
+        )
+
+    def test_edits_of_a_failing_module_match_offline(self, daemon):
+        _, address = daemon()
+        source = "n = 9;\na = @{x = n} {};\nb = #foo a\n"
+        bumped = source.replace("9", "10")
+        # The failing `b` and the record its witness names move down.
+        moved = "\n\n" + bumped
+        with ServeClient(address) as client:
+            answers = [client.check("m.rp", text)
+                       for text in (source, bumped, moved)]
+        for served, text in zip(answers, (source, bumped, moved)):
+            offline = check_source("m.rp", text)
+            assert served["exit"] == offline.exit == 1
+            assert _report(served["report"]) == _report(offline.report)
+
 
 class TestDeadlines:
     def test_deadline_exceeded_is_structured_and_non_poisoning(self, daemon):

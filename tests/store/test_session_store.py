@@ -172,3 +172,49 @@ class TestDegradation:
         assert _stable(result) == _stable(fresh)
         assert store.stats()["io_errors"] > 0
         assert store.stats()["entries"] == 0
+
+
+class TestMovedFailingDeclaration:
+    """A stored failing report names positions; another file holding the
+    same declarations elsewhere must not be served them."""
+
+    SOURCE = "a = {}\n;\nb = #foo a\n"
+    MOVED = "\n\n" + SOURCE
+
+    def test_shared_store_across_two_files(self, store):
+        from repro.server.service import check_source
+
+        check_source("first.rp", self.SOURCE, store=store)
+        served = check_source("second.rp", self.MOVED, store=store)
+        offline = check_source("second.rp", self.MOVED)
+        assert served.report == offline.report
+        assert served.report["decls"][1]["line"] == 5
+
+    def test_same_position_is_still_a_hit(self, store):
+        module = parse_module(self.SOURCE)
+        first = InferSession("flow", store=store).check(module)
+        warm = InferSession("flow", store=store)
+        second = warm.check(parse_module(self.SOURCE))
+        assert warm.stats.store_hits == 2
+        assert _stable(first) == _stable(second)
+
+    def test_failing_payload_without_a_layout_is_a_miss(self):
+        from repro.store.backend import MemoryCache
+
+        class LayoutFree(MemoryCache):
+            """Keeps payloads as a store written before layouts: none."""
+
+            def put(self, key, payload):
+                super().put(
+                    key, {k: v for k, v in payload.items() if k != "layout"}
+                )
+
+        store = LayoutFree()
+        module = parse_module(self.SOURCE)
+        first = InferSession("flow", store=store).check(module)
+        warm = InferSession("flow", store=store)
+        second = warm.check(module)
+        assert warm.stats.store_hits == 1  # `a`, whose report is ok
+        assert second.report("b").status == "error"
+        assert not second.report("b").cached
+        assert _stable(first) == _stable(second)

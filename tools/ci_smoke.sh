@@ -86,6 +86,33 @@ suite_daemon() {
   grep "rowpoly serve metrics" serve.log
   python -c "import json; snap = json.load(open('serve-metrics.json')); assert snap['requests']['check']['ok'] == 6, snap['requests']; assert snap['sessions']['hits'] == 3, snap['sessions']"
 
+  echo "== Served edits of a failing module equal offline checks"
+  # One warm session takes a module with a failing declaration, then a
+  # literal bump and an edit that inserts lines above the failure; each
+  # answer must be the offline report of the same text, its positions
+  # and witness included.
+  start_serve serve-edits.log 50 --tcp 127.0.0.1:7480
+  grep "listening on" serve-edits.log
+  printf 'let\n    base = @{width = 1} {};\n    empty = {};\n' > edited.rp
+  printf '    broken = #height empty;\n    fine = #width base\nin fine\n' \
+    >> edited.rp
+  for step in original bumped shifted; do
+    case "$step" in
+      bumped) sed -i 's/width = 1}/width = 10}/' edited.rp ;;
+      shifted) sed -i 's/^    empty/    -- two lines\n\n    empty/' edited.rp ;;
+    esac
+    rc=0
+    PYTHONPATH=src python -m repro check edited.rp --json \
+      > check-edited-offline.json || rc=$?
+    test "$rc" -eq 1
+    rc=0
+    PYTHONPATH=src python -m repro check edited.rp --json \
+      --server 127.0.0.1:7480 > "check-edited-$step.json" || rc=$?
+    test "$rc" -eq 1
+    cmp check-edited-offline.json "check-edited-$step.json"
+  done
+  kill -TERM "$SERVE_PID"; wait "$SERVE_PID"
+
   echo "== Budget exhaustion is a deterministic partial report"
   # A starved CDCL-class check must exit 3 with RP0998 — offline
   # and through a budgeted daemon alike — and a second, unbudgeted

@@ -154,7 +154,9 @@ def check_source(
 
     Parse, lex and type failures are reported *in* the
     :class:`CheckReport` (with ``RP####`` diagnostics), exactly as the
-    CLI and daemon report them.  A ``budget``
+    CLI and daemon report them.  Text holding a lone surrogate, which
+    no UTF-8 file decodes to, is reported unreadable (``exit_code`` 2,
+    error class ``IOError``).  A ``budget``
     (:class:`repro.util.Budget`) caps the resources the check may spend;
     exhaustion never raises either — it yields a partial report with
     ``aborted`` declarations (``RP0998``).

@@ -32,6 +32,7 @@ import json
 import os
 import sys
 import time
+from typing import Callable
 
 from .boolfn.engine import SolverStats
 from .gdsl import FIG9_CORPORA, GeneratorConfig, build_corpus, generate_decoder
@@ -724,6 +725,23 @@ def cmd_bench_fig9(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive(kind: type) -> Callable[[str], float]:
+    """An argparse ``type`` for a positive ``kind`` (``int``/``float``):
+    a budget must leave room for some work, as ``Budget.from_params``
+    requires, so zero or less is a usage error, not a traceback."""
+
+    def parse(text: str) -> float:
+        value = kind(text)
+        if value <= 0:
+            raise argparse.ArgumentTypeError(
+                f"must be a positive number, not {text}"
+            )
+        return value
+
+    parse.__name__ = kind.__name__  # "invalid int value: 'x'"
+    return parse
+
+
 def _add_budget_arguments(
     parser: argparse.ArgumentParser, server: bool = False
 ) -> None:
@@ -736,21 +754,24 @@ def _add_budget_arguments(
     """
     scope = "default per-request" if server else "per-file"
     parser.add_argument(
-        "--budget-ms", type=float, default=None, metavar="MS",
+        "--budget-ms", type=_positive(float), default=None, metavar="MS",
         help=f"{scope} wall-clock budget; declarations that exceed it "
         "are aborted with RP0998 (partial report, not a failure)",
     )
     parser.add_argument(
-        "--budget-solver-steps", type=int, default=None, metavar="N",
+        "--budget-solver-steps", type=_positive(int), default=None,
+        metavar="N",
         help=f"{scope} ceiling on solver steps (CDCL conflicts and "
         "linear-engine queries)",
     )
     parser.add_argument(
-        "--budget-max-clauses", type=int, default=None, metavar="N",
+        "--budget-max-clauses", type=_positive(int), default=None,
+        metavar="N",
         help=f"{scope} ceiling on the flow formula's clause count",
     )
     parser.add_argument(
-        "--budget-core-queries", type=int, default=None, metavar="N",
+        "--budget-core-queries", type=_positive(int), default=None,
+        metavar="N",
         help=f"{scope} ceiling on unsat-core minimisation queries",
     )
 

@@ -27,6 +27,12 @@ onto the flags of its type without losing precision — "the obtained type
 for a function is thus concise").  Dependents seed their local β with
 those clauses; scheme instantiation then expands them per use exactly as
 (VAR-LET) expands any other clause.
+
+Scheme and clauses together are a complete summary of the declaration,
+so the flow engine can also write its export into a store payload and
+read it back in another session (:meth:`FlowSessionEngine.encode_export`,
+:meth:`FlowSessionEngine.decode_export`): a dependent of a store-served
+declaration then imports the export instead of re-inferring it.
 """
 
 from __future__ import annotations
@@ -44,7 +50,14 @@ from ..lang.module import Decl
 from ..lang.pretty import pretty
 from ..types.schemes import Scheme
 from ..types.terms import (
+    BOOL,
+    INT,
+    Field,
+    Row,
+    TBool,
+    TCon,
     TFun,
+    TInt,
     TList,
     TRec,
     TVar,
@@ -112,6 +125,12 @@ class SessionEngine(Protocol):
         rather than failing the whole request.
         """
         ...
+
+    # An engine whose export can cross a store also offers
+    # ``encode_export(check) -> Optional[dict]`` (JSON-ready, free of
+    # the engine's supply ids) and ``decode_export(data) ->
+    # Optional[DeclCheck]`` (``None`` for a malformed payload); the
+    # flow engine does.
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +252,109 @@ class FlowExport:
     names: dict[int, str]
 
 
+# A flow export's store encoding (``FlowSessionEngine.encode_export``):
+#
+#   "vars"   [type variables, row variables, flags]: how many of each;
+#   "type"   the scheme body, walked in prefix order:
+#              "v" VAR FLAG              a type variable
+#              "l" ELEM                  a list
+#              "f" ARG RES               a function
+#              "r" N ROW FLAG {LABEL FLAG TYPE}*N
+#                                        a record (ROW -1: closed)
+#              "i" / "b" / "c" NAME      Int / Bool / a constructor
+#   "flow"   the signature clauses in β order, each its length followed
+#            by its literals;
+#   "names"  flag and debug name, alternating.
+#
+# A variable is its rank among the export's variables of its kind (from
+# 0); a flag is its rank among the export's flags (from 1, so that a
+# literal carries a sign; 0 is no flag).  Ranks keep the ids' order.
+
+
+def _encode_type(t: Type, tvars: dict[int, int], rvars: dict[int, int],
+                 flags: dict[Optional[int], int], out: list) -> None:
+    if isinstance(t, TVar):
+        out += ("v", tvars[t.var], flags[t.flag])
+    elif isinstance(t, TList):
+        out.append("l")
+        _encode_type(t.elem, tvars, rvars, flags, out)
+    elif isinstance(t, TFun):
+        out.append("f")
+        _encode_type(t.arg, tvars, rvars, flags, out)
+        _encode_type(t.res, tvars, rvars, flags, out)
+    elif isinstance(t, TRec):
+        row = t.row
+        if row is None:
+            out += ("r", len(t.fields), -1, 0)
+        else:
+            out += ("r", len(t.fields), rvars[row.var], flags[row.flag])
+        for f in t.fields:
+            out += (f.label, flags[f.flag])
+            _encode_type(f.type, tvars, rvars, flags, out)
+    elif isinstance(t, TInt):
+        out.append("i")
+    elif isinstance(t, TBool):
+        out.append("b")
+    elif isinstance(t, TCon):
+        out += ("c", t.name)
+    else:
+        raise ValueError(f"no store encoding for {t!r}")
+
+
+class _TypeDecoder:
+    """Reads an encoded scheme body back, with the ids ranks pick."""
+
+    def __init__(self, codes: list, tvars: list[int], rvars: list[int],
+                 flags: list[Optional[int]]) -> None:
+        self.codes = codes
+        self.pos = 0
+        self.tvars = tvars
+        self.rvars = rvars
+        self.flags = flags
+
+    def take(self):
+        code = self.codes[self.pos]
+        self.pos += 1
+        return code
+
+    def pick(self, ids: list, rank) -> int:
+        if type(rank) is not int or rank < 0:
+            raise ValueError(f"bad rank {rank!r}")
+        return ids[rank]
+
+    def type(self) -> Type:
+        tag = self.take()
+        if tag == "v":
+            var = self.pick(self.tvars, self.take())
+            return TVar(var, self.pick(self.flags, self.take()))
+        if tag == "l":
+            return TList(self.type())
+        if tag == "f":
+            arg = self.type()
+            return TFun(arg, self.type())
+        if tag == "r":
+            count, row, row_flag = self.take(), self.take(), self.take()
+            tail = None
+            if row != -1:
+                tail = Row(self.pick(self.rvars, row),
+                           self.pick(self.flags, row_flag))
+            fields = []
+            for _ in range(count):
+                label = self.take()
+                if type(label) is not str:
+                    raise ValueError(f"bad label {label!r}")
+                flag = self.pick(self.flags, self.take())
+                fields.append(Field(label, self.type(), flag))
+            return TRec(tuple(fields), tail)
+        if tag == "i":
+            return INT
+        if tag == "b":
+            return BOOL
+        if tag == "c":
+            return TCon(str(self.take()))
+        raise ValueError(f"bad type tag {tag!r}")
+
+
 class FlowSessionEngine:
     """Per-declaration driver for :class:`repro.infer.flow.FlowInference`.
 
@@ -311,6 +433,117 @@ class FlowSessionEngine:
                 "gc": stats.gc_seconds,
             },
             solver_stats=result.solver_stats,
+        )
+
+    def encode_export(self, check: DeclCheck) -> Optional[dict]:
+        """``check``'s export as flat JSON, each id replaced by its rank.
+
+        The payload holds nothing of this session's supplies, so
+        another session can import it (:meth:`decode_export`).  ``None``
+        when the scheme leaves a variable free, which the scheme of a
+        top-level declaration never does.
+        """
+        export = check.export
+        body = export.scheme.body
+        tvars = sorted(type_vars(body))
+        rvars = sorted(row_vars(body))
+        if (
+            export.scheme.quantified_type_vars != frozenset(tvars)
+            or export.scheme.quantified_row_vars != frozenset(rvars)
+        ):
+            return None
+        flag_ranks: dict[Optional[int], int] = {None: 0}
+        for flag in sorted(set(all_flags(body))):
+            flag_ranks[flag] = len(flag_ranks)
+        codes: list = []
+        try:
+            _encode_type(
+                body,
+                {var: rank for rank, var in enumerate(tvars)},
+                {var: rank for rank, var in enumerate(rvars)},
+                flag_ranks,
+                codes,
+            )
+            flow: list[int] = []
+            for clause in export.flow.clauses():
+                flow.append(len(clause))
+                flow.extend(
+                    flag_ranks[lit] if lit > 0 else -flag_ranks[-lit]
+                    for lit in clause
+                )
+            names: list = []
+            for flag, name in export.names.items():
+                names += (flag_ranks[flag], name)
+        except (KeyError, ValueError):
+            return None  # a clause or name outside the type's flags
+        return {
+            "vars": [len(tvars), len(rvars), len(flag_ranks) - 1],
+            "type": codes,
+            "flow": flow,
+            "names": names,
+        }
+
+    def decode_export(self, data: object) -> Optional[DeclCheck]:
+        """The check an :meth:`encode_export` payload describes.
+
+        Fresh ids are drawn from this engine's supplies in rank order,
+        as instantiation renames a scheme (Def. 2), so they keep the
+        exported ids' relative order.  The signature is rendered anew
+        from the decoded scheme and clauses, for the caller to compare
+        with the stored one.  ``None`` when the payload is malformed.
+        """
+        try:
+            n_tvars, n_rvars, n_flags = data["vars"]
+            codes, flow, names = data["type"], data["flow"], data["names"]
+            if not (
+                isinstance(codes, list)
+                and all(type(n) is int and 0 <= n <= len(codes)
+                        for n in (n_tvars, n_rvars, n_flags))
+            ):
+                return None
+            tvars = [self.vars.fresh_type_var() for _ in range(n_tvars)]
+            rvars = [self.vars.fresh_row_var() for _ in range(n_rvars)]
+            flags: list[Optional[int]] = [None]
+            flags.extend(self.flags.fresh() for _ in range(n_flags))
+            decoder = _TypeDecoder(codes, tvars, rvars, flags)
+            body = decoder.type()
+            if decoder.pos != len(codes):
+                return None
+            cnf = Cnf()
+            pos = 0
+            while pos < len(flow):
+                width = flow[pos]
+                if type(width) is not int or width < 1:
+                    return None
+                literals = flow[pos + 1:pos + 1 + width]
+                if len(literals) != width:
+                    return None
+                cnf.add_clause(
+                    decoder.pick(flags, lit) if lit > 0
+                    else -decoder.pick(flags, -lit)
+                    for lit in literals
+                )
+                pos += 1 + width
+            if len(names) % 2:
+                return None
+            table = {
+                decoder.pick(flags, names[i]): str(names[i + 1])
+                for i in range(0, len(names), 2)
+            }
+        except (KeyError, IndexError, TypeError, ValueError):
+            return None
+        if None in table:
+            return None
+        signature, type_text, flow_text = _scheme_signature(body, cnf)
+        return DeclCheck(
+            signature=signature,
+            type_text=type_text,
+            flow_text=flow_text,
+            export=FlowExport(
+                scheme=Scheme(frozenset(tvars), frozenset(rvars), body),
+                flow=cnf,
+                names=table,
+            ),
         )
 
 

@@ -21,8 +21,7 @@ in the dependencies whose flags it inherited.  So do the flag names of a
 flow export.  When a declaration or one of its transitive dependencies
 has moved (its :attr:`~repro.lang.module.Decl.layout` changed), the
 session re-checks the declaration's failing report and drops its export
-(rebuilt from the declaration, like a store-served one, when a
-dependent needs it).
+(re-inferred from the declaration when a dependent needs it).
 
 A session remembers the module it last checked (:attr:`InferSession.module`),
 so the next source can be parsed against it
@@ -32,13 +31,16 @@ A session may also sit on a :class:`~repro.store.backend.CacheBackend`
 (the persistent result store): a per-declaration cache miss then consults
 the store — keyed on the same ``(fingerprint, dependency signatures)``
 content plus the engine/options/schema digest — before solving, and
-completed non-aborted reports are written back.  Disk entries carry
-*reports only*, never engine exports: schemes reference session-local
-variable/flag ids that cannot soundly cross a process boundary.  When a
-dependent of a store-served declaration actually needs solving, the
-missing exports are *rehydrated* (the dependency is re-checked by the
-engine, dependency-first) — determinism guarantees the rehydrated
-signature matches the stored one.
+completed non-aborted reports are written back.  An ``ok`` flow entry
+also carries its declaration's export, with every variable and flag
+renumbered by rank so that no session-local id crosses the store, and
+the layout stamp its flag names were made at.  When a dependent of a
+store-served declaration actually needs solving, the missing exports are
+*rehydrated*: imported from the entry, with fresh ids drawn in rank
+order, and re-inferred (dependency-first) only when the entry has no
+export (another engine, an older entry), was made at another layout, or
+was dropped by a move.  An imported export must render the stored
+signature, and determinism guarantees that a re-inferred one does.
 
 Checking a declaration wraps it as ``let x = e in x`` so recursion works
 exactly as in the expression language, binds every dependency to its
@@ -230,9 +232,8 @@ class ModuleResult:
     def solver_rollup(self) -> SolverStats:
         """Per-declaration :class:`SolverStats` merged across the module.
 
-        Cached declarations contribute the telemetry recorded when they
-        were last actually checked, so the rollup describes the work the
-        module's current results cost (``check --solver-stats`` and the
+        Reused declarations contribute nothing, so the rollup describes
+        the solving this check did (``check --solver-stats`` and the
         daemon's metrics subsystem consume this).
         """
         return SolverStats.merged(r.solver_stats for r in self.decls)
@@ -250,8 +251,10 @@ class SessionStats:
     #: Persistent-store traffic (zero when no store is attached).
     store_hits: int = 0
     store_misses: int = 0
-    #: Store-served declarations re-checked to regain engine exports.
+    #: Store-served declarations that regained an engine export ...
     decls_rehydrated: int = 0
+    #: ... and those of them that imported it rather than re-inferring.
+    decls_imported: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return dict(vars(self))
@@ -264,6 +267,20 @@ class _CacheEntry:
     report: DeclReport
     #: The declaration the entry was last valid for (its layout).
     decl: Decl
+    #: The store payload an ``ok`` report was served from, until its
+    #: export is imported or a move makes it stale.
+    stored: Optional[dict] = None
+    _reused: Optional[DeclReport] = field(default=None, init=False)
+
+    def reused(self) -> DeclReport:
+        """The report as a later check reuses it: cached, no timings and
+        no solver telemetry (that check solved nothing for it)."""
+        if self._reused is None:
+            self._reused = replace(
+                self.report, cached=True, seconds=0.0, trace={},
+                solver_stats=None,
+            )
+        return self._reused
 
 
 class InferSession:
@@ -338,27 +355,28 @@ class InferSession:
             )
             entry = self._cache.get(decl.name)
             if entry is not None and entry.key == key:
-                report = replace(entry.report, cached=True, seconds=0.0,
-                                 trace={})
+                report = entry.reused()
                 if entry.check is not None:
                     checks[decl.name] = entry.check
                 reused += 1
             else:
                 self._cache.pop(decl.name, None)
-                report = None
+                served = None
                 if self.store is not None and failed_dep is None:
-                    report = self._store_lookup(decl, key, stamp)
-                if report is not None:
-                    # A store hit is a reuse: no solving happened, no
-                    # export exists (dependents rehydrate).
+                    served = self._store_lookup(decl, key, stamp)
+                if served is not None:
+                    # A store hit is a reuse: no solving happened, and no
+                    # live export exists (dependents rehydrate).
+                    report, payload = served
                     self._cache[decl.name] = _CacheEntry(
-                        key, None, report, decl
+                        key, None, report, decl,
+                        stored=payload if report.ok else None,
                     )
                     reused += 1
                 else:
                     check, report = self._check_decl(
                         decl, dep_names, failed_dep, checks,
-                        decl_map, dependencies, deadline, budget
+                        decl_map, dependencies, stamp, deadline, budget
                     )
                     if check is not None:
                         checks[decl.name] = check
@@ -374,7 +392,7 @@ class InferSession:
                             key, check, report, decl
                         )
                         if self.store is not None and failed_dep is None:
-                            self._store_persist(key, report, stamp)
+                            self._store_persist(key, report, check, stamp)
                     checked += 1
             by_name[decl.name] = report
             reports.append(report)
@@ -414,8 +432,9 @@ class InferSession:
         counts as moved when it has no entry or one of its dependencies
         moved, since a dependency's flag names reach its dependents.  A
         moved declaration loses its failing report (re-checked) or its
-        export (rebuilt on demand).  Runs before any deadline check, so
-        every entry is judged against the same module.
+        export and stored payload (re-inferred on demand).  Runs before
+        any deadline check, so every entry is judged against the same
+        module.
         """
         moved: set[str] = set()
         for decl in module:
@@ -431,7 +450,7 @@ class InferSession:
             if entry is None:
                 continue
             if entry.report.ok:
-                entry.check = None
+                entry.check = entry.stored = None
                 entry.decl = decl
             else:
                 del self._cache[decl.name]
@@ -472,8 +491,9 @@ class InferSession:
         dep_names: list[str],
         failed_dep: Optional[str],
         checks: dict[str, DeclCheck],
-        decl_map: Optional[dict] = None,
-        dependencies: Optional[dict[str, list[str]]] = None,
+        decl_map: dict,
+        dependencies: dict[str, tuple[str, ...]],
+        stamp,
         deadline: Optional[Deadline] = None,
         budget: Optional[Budget] = None,
     ) -> tuple[Optional[DeclCheck], DeclReport]:
@@ -499,14 +519,13 @@ class InferSession:
         started = time.perf_counter()
         try:
             fault_point("session.check_decl")
-            if decl_map is not None and dependencies is not None:
-                # Inside the try: a budget that runs out while
-                # rehydrating a dependency aborts *this* declaration,
-                # exactly as if the budget tripped during its own check.
-                self._rehydrate(
-                    dep_names, decl_map, dependencies, checks,
-                    deadline, budget,
-                )
+            # Inside the try: a budget that runs out while rehydrating a
+            # dependency aborts *this* declaration, exactly as if the
+            # budget tripped during its own check.
+            self._rehydrate(
+                dep_names, decl_map, dependencies, checks, stamp,
+                deadline, budget,
+            )
             check = self.engine.check_decl(
                 decl,
                 [(dep, checks[dep]) for dep in dep_names],
@@ -562,21 +581,22 @@ class InferSession:
         self,
         names: list[str],
         decl_map: dict,
-        dependencies: dict[str, list[str]],
+        dependencies: dict[str, tuple[str, ...]],
         checks: dict[str, DeclCheck],
+        stamp,
         deadline: Optional[Deadline],
         budget: Optional[Budget],
     ) -> None:
-        """Recompute engine exports for store-served dependencies.
+        """Regain the engine exports of store-served dependencies.
 
-        A persistent-store entry carries a *report*, never the engine's
-        export: schemes and clauses reference session-local variable and
-        flag ids, which would collide with this session's supplies.
-        When a dependent actually needs solving, each store-served
-        dependency is re-checked here, dependency-first, so every
-        rehydration only ever sees dependencies that already have
-        exports.  Inference is deterministic, so the recomputed
-        signature equals the stored one and the cache key stays valid.
+        Each is imported from the store payload that served it, in the
+        order of ``names`` (declaration order), so the imported ids keep
+        the order a fresh check would have given them.  One that cannot
+        be imported (see :meth:`_import`) is re-checked instead,
+        dependency-first, so every re-check only ever sees dependencies
+        that already have exports.  Inference is deterministic, so the
+        recomputed signature equals the stored one and the cache key
+        stays valid.
         """
         for name in names:
             if name in checks:
@@ -584,29 +604,57 @@ class InferSession:
             entry = self._cache.get(name)
             if entry is None or not entry.report.ok:
                 continue
-            deps = dependencies[name]
-            self._rehydrate(
-                deps, decl_map, dependencies, checks, deadline, budget
-            )
-            check = self.engine.check_decl(
-                decl_map[name],
-                [(dep, checks[dep]) for dep in deps],
-                deadline=deadline,
-                budget=budget,
-            )
-            checks[name] = check
-            self._cache[name] = _CacheEntry(
-                entry.key, check, entry.report, decl_map[name]
-            )
+            check = self._import(name, entry, stamp)
+            if check is None:
+                deps = dependencies[name]
+                self._rehydrate(
+                    deps, decl_map, dependencies, checks, stamp,
+                    deadline, budget,
+                )
+                check = self.engine.check_decl(
+                    decl_map[name],
+                    [(dep, checks[dep]) for dep in deps],
+                    deadline=deadline,
+                    budget=budget,
+                )
+            checks[name] = entry.check = check
+            entry.decl = decl_map[name]
             self.stats.decls_rehydrated += 1
+
+    def _import(
+        self, name: str, entry: _CacheEntry, stamp
+    ) -> Optional[DeclCheck]:
+        """The export stored beside ``entry``'s report, or ``None``.
+
+        ``None`` when the payload carries no export (another engine, an
+        older entry), when it was stored at another layout (its flag
+        names would cite positions the declarations have left), or when
+        it does not decode to the stored signature.  Each payload is
+        tried once.
+        """
+        payload, entry.stored = entry.stored, None
+        decode = getattr(self.engine, "decode_export", None)
+        if (
+            payload is None
+            or decode is None
+            or "export" not in payload
+            or payload.get("layout") != stamp(name)
+        ):
+            return None
+        check = decode(payload["export"])
+        if check is None or check.signature != entry.report.signature:
+            return None
+        self.stats.decls_imported += 1
+        return check
 
     def _store_key(self, key: tuple[str, ...]) -> str:
         return decl_key(key[0], key[1:], self._config_digest)
 
     def _store_lookup(
         self, decl, key: tuple[str, ...], stamp
-    ) -> Optional[DeclReport]:
-        """A usable report from the persistent store, or ``None``.
+    ) -> Optional[tuple[DeclReport, dict]]:
+        """A usable report from the persistent store and its payload, or
+        ``None``.
 
         A failing report is usable only at the layout ``stamp(name)`` it
         was stored with; one stored without a layout is a miss.
@@ -621,13 +669,24 @@ class InferSession:
             self.stats.store_misses += 1
             return None
         self.stats.store_hits += 1
-        return report
+        return report, payload
 
     def _store_persist(
-        self, key: tuple[str, ...], report: DeclReport, stamp
+        self,
+        key: tuple[str, ...],
+        report: DeclReport,
+        check: Optional[DeclCheck],
+        stamp,
     ) -> None:
+        """Write ``report`` back, with its export when the engine can
+        encode one; a payload that names positions (a failing report,
+        an export's flag names) carries the layout stamp they hold."""
         payload = report_payload(report)
-        if not report.ok:
+        encode = getattr(self.engine, "encode_export", None)
+        export = None if check is None or encode is None else encode(check)
+        if export is not None:
+            payload["export"] = export
+        if export is not None or not report.ok:
             payload["layout"] = stamp(report.name)
         self.store.put(self._store_key(key), payload)
 

@@ -240,6 +240,9 @@ def check_source(
     re-parses and re-checks only the declarations it touched: the source
     is parsed against the module the session last checked.
 
+    A ``source`` holding a lone surrogate, which no UTF-8 file decodes
+    to, gets the unreadable outcome (:func:`unchecked_outcome`).
+
     ``deep=True`` runs parse and inference on a deep-stack thread
     (:func:`repro.util.run_deep`) — required for the right-nested Fig. 9
     corpora.  The daemon's workers are already deep-stack threads and pass
@@ -261,7 +264,14 @@ def check_source(
     so partially changed modules reuse per-declaration entries.
     """
     run = run_deep if deep else (lambda fn: fn())
-    fingerprint = fingerprint_source(source)
+    try:
+        fingerprint = fingerprint_source(source)
+    except UnicodeEncodeError as error:
+        return unchecked_outcome(
+            path,
+            f"{path}: not valid Unicode text "
+            f"(character {error.start}: {error.reason})",
+        )
     digest = config_digest(engine, options)
     store_key = ""
     if store is not None:

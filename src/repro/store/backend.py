@@ -11,8 +11,10 @@ layer       contents
 ==========  ==========================================================
 L0          live objects, process-private: the session's per-decl
             dict (reports **plus** engine exports) and the registry's
-            replay outcomes — not a :class:`CacheBackend`; these hold
-            unpicklable state and invalidate by name/fingerprint
+            replay outcomes — not a :class:`CacheBackend`; exports hold
+            session-local ids (a flow export reaches L1/L2 only
+            renumbered, inside its declaration's payload), and entries
+            invalidate by name/fingerprint
 L1          :class:`MemoryCache` — content-addressed JSON payloads,
             LRU-bounded, shared by every session in one process
 L2          :class:`~repro.store.disk.DiskStore` — the persistent

@@ -20,8 +20,9 @@ future format — is **quarantined** (atomically renamed into
 file in ``tmp/`` (same filesystem), fsyncs, then ``os.replace``\\ s into
 place.  Readers therefore only ever see a complete old entry or a
 complete new one.  Concurrent writers of the same key race benignly:
-keys are content-addressed, so both writers carry byte-identical
-payloads and either winner leaves one valid entry.
+either winner leaves one valid entry.  Their payloads may differ where
+a key holds no position (a declaration's ``layout`` stamp), and a
+session judges each payload against its own positions.
 
 **Maintenance never blocks serving.**  ``gc``/``clear`` take an advisory
 ``flock`` on ``gc.lock`` so two collectors do not fight, but readers and

@@ -44,6 +44,35 @@ class OccursCheckError(UnifyError):
     """A variable would have to contain itself (infinite type)."""
 
 
+def _plain_texts(*terms: Type) -> list[str]:
+    """``terms`` as text, with one first-occurrence naming and no flags.
+
+    A term's variable and flag ids come from the supplies of the session
+    that checks it, and a warm, a store-backed and an offline check of
+    the same text advance those differently; a message renders the
+    terms afresh, so that all three print the same bytes.
+    """
+    tvars: dict[int, int] = {}
+    rvars: dict[int, int] = {}
+
+    def go(t: Type) -> Type:
+        if isinstance(t, TVar):
+            return TVar(tvars.setdefault(t.var, len(tvars)))
+        if isinstance(t, TList):
+            return TList(go(t.elem))
+        if isinstance(t, TFun):
+            return TFun(go(t.arg), go(t.res))
+        if isinstance(t, TRec):
+            fields = tuple(Field(f.label, go(f.type)) for f in t.fields)
+            row = t.row
+            if row is not None:
+                row = Row(rvars.setdefault(row.var, len(rvars)))
+            return TRec(fields, row)
+        return t
+
+    return [repr(go(t)) for t in terms]
+
+
 class _Unifier:
     """Mutable unification state: triangular bindings for both var kinds."""
 
@@ -143,14 +172,17 @@ class _Unifier:
         if isinstance(t1, TRec) and isinstance(t2, TRec):
             self.unify_records(t1, t2)
             return
+        left, right = _plain_texts(t1, t2)
         raise UnifyError(
-            f"cannot unify {t1!r} with {t2!r} (constructor clash)", t1, t2
+            f"cannot unify {left} with {right} (constructor clash)", t1, t2
         )
 
     def bind_type(self, var: int, t: Type) -> None:
         if self.occurs_type(var, t):
+            left, right = _plain_texts(TVar(var), t)
             raise OccursCheckError(
-                f"occurs check: type variable would contain itself in {t!r}",
+                f"occurs check: type variable {left} would contain itself "
+                f"in {right}",
                 TVar(var),
                 t,
             )
@@ -182,7 +214,10 @@ class _Unifier:
         by_label1 = {f.label: f for f in fields1}
         by_label2 = {f.label: f for f in fields2}
         if len(by_label1) != len(fields1) or len(by_label2) != len(fields2):
-            raise UnifyError(f"record with duplicate labels: {r1!r} / {r2!r}")
+            left, right = _plain_texts(r1, r2)
+            raise UnifyError(
+                f"record with duplicate labels: {left} / {right}", r1, r2
+            )
         only1 = [f for f in fields1 if f.label not in by_label2]
         only2 = [f for f in fields2 if f.label not in by_label1]
         for label, f1 in by_label1.items():
@@ -200,14 +235,14 @@ class _Unifier:
             return
         if tail2 is None and only1:
             raise UnifyError(
-                f"record {r2!r} lacks fields "
+                f"record {_plain_texts(r2)[0]} lacks fields "
                 f"{[f.label for f in only1]} and has no row to extend",
                 r1,
                 r2,
             )
         if tail1 is None and only2:
             raise UnifyError(
-                f"record {r1!r} lacks fields "
+                f"record {_plain_texts(r1)[0]} lacks fields "
                 f"{[f.label for f in only2]} and has no row to extend",
                 r1,
                 r2,

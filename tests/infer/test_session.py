@@ -197,6 +197,29 @@ class TestFailingDeclarationTelemetry:
         }
 
 
+class TestReusedTelemetry:
+    """A reused declaration solved nothing in the check that reuses it."""
+
+    SOURCE = "g = \\r -> #x r; h = plus 1 2; k = plus (g {x = 1}) (\\y -> y)"
+
+    def test_recheck_that_reuses_everything_rolls_up_nothing(self):
+        session = InferSession("flow")
+        module = parse_module(self.SOURCE)
+        assert session.check(module).solver_rollup().queries > 0
+        again = session.recheck(module)
+        assert again.reused == len(module)
+        assert again.solver_rollup().queries == 0
+        assert all(r.solver_stats is None for r in again.decls)
+
+    def test_reused_report_is_built_once(self):
+        session = InferSession("flow")
+        module = parse_module(self.SOURCE)
+        session.check(module)
+        first = session.recheck(module).decls
+        second = session.recheck(module).decls
+        assert all(a is b for a, b in zip(first, second))
+
+
 class TestMovedDeclarations:
     """A failing report names source positions (its own, and where the
     records of its witness were made, possibly in a dependency); a warm

@@ -96,6 +96,17 @@ class TestCheckSourceFacade:
     def test_fingerprint_present(self):
         assert check_source(WELL_TYPED).fingerprint
 
+    def test_lone_surrogate_is_unreadable_not_raised(self):
+        report = check_source("b = 1 \udcff\n", "m.rp")
+        assert report.exit_code == 2
+        assert report.report == {
+            "file": "m.rp",
+            "ok": False,
+            "error": "IOError",
+            "message": "m.rp: not valid Unicode text "
+                       "(character 6: surrogates not allowed)",
+        }
+
 
 class TestCheckPathFacade:
     def test_matches_cli_json_output(self, tmp_path, capsys):

@@ -180,6 +180,35 @@ class TestCheckJson:
         assert [(d["decl"], d["line"]) for d in failing] == [("b", 4)]
 
 
+class TestBudgetFlags:
+    """A budget of zero or less is a usage error at parse time."""
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--budget-ms", "0"),
+        ("--budget-solver-steps", "0"),
+        ("--budget-core-queries", "0"),
+        ("--budget-max-clauses", "-1"),
+    ])
+    @pytest.mark.parametrize("command", [["check"], ["audit", "run"]])
+    def test_non_positive_budget_is_usage_error(
+        self, command, flag, value, module_file, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + [module_file(WELL_TYPED), flag, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be a positive number, not {value}" \
+            in err
+        assert "Traceback" not in err
+
+    def test_positive_budgets_check(self, module_file, capsys):
+        assert main([
+            "check", module_file(WELL_TYPED), "--budget-ms", "60000",
+            "--budget-solver-steps", "100000", "--budget-core-queries",
+            "100", "--budget-max-clauses", "100000",
+        ]) == 0
+
+
 class TestCheckTrace:
     def test_trace_goes_to_stderr(self, module_file, capsys):
         assert main(["check", "--trace", module_file(WELL_TYPED)]) == 0

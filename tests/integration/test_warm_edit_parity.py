@@ -11,7 +11,9 @@ stream wrote to.
 The edits move text without changing what it means — literal bumps,
 blank lines, comments and spaces between tokens — or fix and re-break the
 failing declaration, so that every step exercises the positions a cached
-report, a cached export's flag names or a stored report carries.
+report, a cached export's flag names or a stored report carries.  One
+more kind turns a decoder's field copy into an RP0002 and back: its
+message renders type terms, whose ids each path draws differently.
 """
 
 import json
@@ -51,6 +53,13 @@ def apply_edit(source: str, edit) -> str:
         if "#nofield" in source:
             return source.replace("#nofield", "#opcode0", 1)
         return source.replace("#opcode0 init_state", "#nofield init_state", 1)
+    if kind == "clash":
+        # `else @{f = #g s2} s2` stores the selector `#g` instead, which
+        # the branch join cannot unify with f's Int; and back.
+        fixed = re.sub(r"#(\w+)\} (s\d+)", r"#\1 \2} \2", source, count=1)
+        if fixed != source:
+            return fixed
+        return re.sub(r"#(\w+) (s\d+)\} \2", r"#\1} \2", source, count=1)
     # Only between tokens: before a space or a newline, outside comments.
     comments = [m.span() for m in re.finditer(r"--[^\n]*", source)]
     gaps = [
@@ -70,7 +79,7 @@ def apply_edit(source: str, edit) -> str:
 edits = st.tuples(
     st.sampled_from(
         ("literal", "literal", "space", "space", "comment", "shrink",
-         "toggle")
+         "toggle", "clash")
     ),
     st.floats(min_value=0.0, max_value=1.0),
     st.integers(min_value=0, max_value=40),
@@ -99,3 +108,26 @@ def test_warm_and_stored_reports_equal_offline(seed, stream):
         assert _bytes(warm) == _bytes(offline)
         assert _bytes(stored) == _bytes(offline)
         assert warm.exit == stored.exit == offline.exit
+
+
+#: ``k`` fails with an RP0002 whose terms carry type variables and flags.
+CLASH = "g = \\r -> #x r;\nh = plus 1 2;\nk = plus (g {x = 1}) (\\y -> y)\n"
+
+
+def test_unification_failure_prints_the_same_on_every_path():
+    offline = check_source("m.rp", CLASH)
+    # A warm session whose supplies an earlier text of `k` advanced.
+    session = InferSession()
+    check_source("m.rp", CLASH.replace("(\\y -> y)", "2"), session=session)
+    warm = check_source("m.rp", CLASH, session=session)
+    # A store that serves `g` and `h`, so `k` alone is inferred.
+    store = MemoryCache()
+    check_source("m.rp", CLASH.replace("(\\y -> y)", "3"), store=store)
+    stored = check_source("m.rp", CLASH, store=store)
+    k = offline.report["decls"][2]
+    assert k["code"] == "RP0002"
+    assert k["message"] == (
+        "cannot unify Int with a -> a (constructor clash) (at 3:5)"
+    )
+    assert _bytes(warm) == _bytes(offline)
+    assert _bytes(stored) == _bytes(offline)

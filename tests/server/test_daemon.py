@@ -10,6 +10,8 @@ import json
 import pytest
 
 from repro.api import check_path
+from repro.infer import InferSession
+from repro.lang import parse_module
 from repro.server.client import ServeClient, ServeError
 from repro.server.daemon import Daemon, DaemonConfig
 from repro.server.service import EXIT_ILL_TYPED, EXIT_USAGE, check_source
@@ -202,6 +204,21 @@ class TestControlPlane:
         assert stats["sessions"]["hits"] == 1
         assert stats["sessions"]["misses"] == 1
         assert stats["solver"]["merged_runs"] == 1
+
+    def test_literal_bump_adds_only_the_edited_declarations_queries(
+        self, daemon
+    ):
+        bumped = WELL_TYPED.replace("make 1", "make 2")
+        offline = InferSession("flow").check(parse_module(bumped))
+        edited = offline.report("out").solver_stats.queries
+        assert 0 < edited < offline.solver_rollup().queries
+        _, address = daemon()
+        with ServeClient(address) as client:
+            client.check("m.rp", WELL_TYPED)
+            before = client.stats()["solver"]["rollup"]["queries"]
+            client.check("m.rp", bumped)
+            after = client.stats()["solver"]["rollup"]["queries"]
+        assert after - before == edited
 
     def test_cancel_unknown_request_is_false(self, daemon):
         _, address = daemon()

@@ -245,15 +245,18 @@ print(f"validated {document['summary']['findings']} findings")
 PY
 
   echo "== Warm re-audit is pure store hits with an empty diff"
-  # Audit with --store twice: the second pass must re-solve
-  # nothing (store misses == 0, hits > 0), produce byte-identical
-  # findings, and `audit diff` against the first run must be an
-  # empty delta exiting 0.
+  # Audit with --store twice: the first pass, into an empty store,
+  # must print the offline document byte for byte (it is where
+  # dependents import the exports of store-served declarations); the
+  # second must re-solve nothing (store misses == 0, hits > 0),
+  # produce byte-identical findings, and `audit diff` against the
+  # first run must be an empty delta exiting 0.
   rc=0
-  PYTHONPATH=src python -m repro audit run corpus \
+  PYTHONPATH=src python -m repro audit run corpus --json \
     --store audit-store --out baseline.json \
-    --metrics-dump cold-metrics.json || rc=$?
+    --metrics-dump cold-metrics.json > audit-cold.json || rc=$?
   test "$rc" -eq 1
+  cmp audit-offline.json audit-cold.json
   rc=0
   PYTHONPATH=src python -m repro audit run corpus \
     --store audit-store --out current.json \

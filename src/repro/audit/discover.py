@@ -18,10 +18,10 @@ work-list every later stage (and every re-audit) derives from:
   checker's ``IOError`` shape); only a *root* that does not exist at
   all is a usage error, signalled by :class:`DiscoveryError`.
 
-Sources are read here, once: every unit carries its text so the Execute
-stage (local pool or daemon fleet) and the Judge stage (declaration
-fingerprints for finding IDs) agree on exactly the bytes that were
-audited, even if the tree changes mid-run.
+Sources are read here, once: every unit carries its text, so every
+Execute mode (in-process, local pool or daemon fleet) checks exactly the
+bytes that were audited, even if the tree changes mid-run, and the Judge
+cites the fingerprint of those bytes.
 """
 
 from __future__ import annotations

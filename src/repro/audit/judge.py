@@ -4,17 +4,21 @@ The last stage of the pipeline consumes ``(unit, payload)`` pairs — the
 Discover plan zipped with the Execute payloads, in plan order — and
 produces the deterministic findings document
 (:func:`repro.audit.findings.findings_document`).  It always runs
-locally in the audit driver, from the stable reports alone, so offline,
+locally in the audit driver, from the stable reports and the
+fingerprints that travel beside them (below), so offline,
 ``--jobs`` and ``--server`` executions judge identically: the document
 inherits the reports' byte-parity contract.
 
 Identity needs declaration *content* fingerprints
 (:attr:`repro.lang.module.Decl.fingerprint`), which stable reports
-deliberately omit; the judge therefore re-parses **failing modules
-only** — a parse, never a solve, and only for the (typically small)
-ill-typed fraction of a corpus.  File-level findings (parse and lex
-failures have no declaration) use the module source's content
-fingerprint instead.
+deliberately omit.  The check that made a report took them from the
+module it parsed, and they ride beside the report in its payload
+(``fingerprints``, one per declaration that is not ``ok``), through the
+module-level store entry and the daemon's response alike; the judge
+parses nothing.  A failing declaration whose payload carries no
+fingerprint is ``unjudged``, never identified by the module's.
+File-level findings (parse and lex failures have no declaration) use
+the module source's content fingerprint.
 
 Aborted declarations become ``aborted`` citations, not findings, and
 unreadable files become ``unreadable`` entries — both carried on the
@@ -25,9 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..lang import LexError, ParseError, parse_module
 from ..server.service import EXIT_USAGE
-from ..util import run_deep
 from .discover import AuditPlan
 from .findings import (
     Finding,
@@ -50,20 +52,6 @@ class JudgeResult:
     #: Worst per-module exit, folded with ``EXIT_USAGE`` for unreadable
     #: roots — the ``audit run`` process exit.
     exit: int
-
-
-def _decl_fingerprints(source: str) -> dict[str, str]:
-    """Name -> content fingerprint for a module's declarations.
-
-    Best-effort: a module whose stored report predates a source change
-    could in principle fail to parse, in which case file-level identity
-    (the caller's fallback) still yields stable IDs.
-    """
-    try:
-        module = run_deep(lambda: parse_module(source))
-    except (ParseError, LexError):
-        return {}
-    return {decl.name: decl.fingerprint for decl in module.decls}
 
 
 def judge(
@@ -116,13 +104,26 @@ def judge(
             worst_exit = max(worst_exit, EXIT_USAGE)
             continue
         else:
-            fingerprints: dict[str, str] = {}
-            if any(
-                decl.get("status") != "ok"
-                for decl in report.get("decls") or ()
-            ):
-                fingerprints = _decl_fingerprints(unit.source)
-            for decl in report.get("decls") or ():
+            decls = report.get("decls") or ()
+            fingerprints = payload.get("fingerprints") or {}
+            unidentified = [
+                str(decl.get("decl"))
+                for decl in decls
+                if decl.get("status") not in ("ok", "aborted")
+                and decl.get("decl") not in fingerprints
+            ]
+            if unidentified:
+                # A verdict whose identity is lost (a payload without
+                # fingerprints): minting ids from the module's source
+                # would give findings no other execution path gives.
+                unjudged.append((
+                    unit.path,
+                    "no fingerprint for declaration "
+                    + ", ".join(map(repr, unidentified)),
+                ))
+                worst_exit = max(worst_exit, EXIT_USAGE)
+                continue
+            for decl in decls:
                 status = decl.get("status")
                 if status == "ok":
                     continue
@@ -137,7 +138,6 @@ def judge(
                     aborted_here = True
                     aborted.append(occurrence)
                     continue
-                fingerprint = fingerprints.get(name, unit.fingerprint)
                 for diagnostic in decl.get("diagnostics") or ():
                     found_here = True
                     _merge(
@@ -145,7 +145,7 @@ def judge(
                         finding_from_diagnostic(
                             diagnostic,
                             decl=name,
-                            decl_fingerprint=fingerprint,
+                            decl_fingerprint=fingerprints[name],
                             occurrence=occurrence,
                         ),
                     )

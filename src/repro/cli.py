@@ -216,7 +216,7 @@ def _print_trace(payload: dict[str, object]) -> None:
     spans = payload["trace"]
     if not spans:
         return
-    order = ("parse", "infer", "unify", "sat", "gc", "total")
+    order = ("parse", "infer", "rehydrate", "unify", "sat", "gc", "total")
     rendered = " ".join(
         f"{phase}={spans[phase] * 1000:.1f}ms"
         for phase in order

@@ -517,15 +517,21 @@ class InferSession:
                 ),
             )
         started = time.perf_counter()
+        # The ``rehydrate`` phase: regaining dependencies' exports, which
+        # ``seconds`` covers too; present only when one was regained.
+        trace: dict[str, float] = {}
         try:
             fault_point("session.check_decl")
             # Inside the try: a budget that runs out while rehydrating a
             # dependency aborts *this* declaration, exactly as if the
             # budget tripped during its own check.
+            rehydrated = self.stats.decls_rehydrated
             self._rehydrate(
                 dep_names, decl_map, dependencies, checks, stamp,
                 deadline, budget,
             )
+            if self.stats.decls_rehydrated != rehydrated:
+                trace["rehydrate"] = time.perf_counter() - started
             check = self.engine.check_decl(
                 decl,
                 [(dep, checks[dep]) for dep in dep_names],
@@ -564,8 +570,10 @@ class InferSession:
                 code=error.diagnostic.code,
                 diagnostics=error.diagnostics,
                 seconds=time.perf_counter() - started,
+                trace=trace,
                 solver_stats=error.solver_stats,
             )
+        trace.update(check.trace)
         return check, DeclReport(
             name=decl.name,
             status="ok",
@@ -573,7 +581,7 @@ class InferSession:
             type_text=check.type_text,
             flow_text=check.flow_text,
             seconds=time.perf_counter() - started,
-            trace=dict(check.trace),
+            trace=trace,
             solver_stats=check.solver_stats,
         )
 

@@ -370,6 +370,7 @@ def check_files_batch(
                     report=result["report"],
                     exit=result["exit"],
                     trace=result.get("trace", {}),
+                    decl_fingerprints=result.get("fingerprints", {}),
                 )
             payloads[index] = outcome.payload(path)
 

@@ -642,6 +642,10 @@ class Daemon(Endpoint):
             # The producing configuration (store-key digest); response
             # metadata like trace/cached, not part of the stable report.
             result["config_digest"] = outcome.config_digest
+        if outcome.decl_fingerprints:
+            # The failing declarations' content fingerprints, which an
+            # audit's finding ids need and the stable report omits.
+            result["fingerprints"] = outcome.decl_fingerprints
         if aborted:
             result["aborted"] = True
         if degraded:

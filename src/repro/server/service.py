@@ -62,21 +62,31 @@ class CheckOutcome:
     #: part of the stable report: reports predate the store and their
     #: bytes are pinned by golden tests and cross-mode parity checks.
     config_digest: str = ""
+    #: Name -> content fingerprint
+    #: (:attr:`repro.lang.module.Decl.fingerprint`) of every declaration
+    #: the report does not call ``ok``: the identity an audit finding is
+    #: minted from, which the stable report omits.  Empty when every
+    #: declaration is ``ok`` or there are none (a parse failure).
+    decl_fingerprints: dict[str, str] = field(default_factory=dict)
 
     def payload(self, path: str) -> dict[str, object]:
         """The batch payload ``rowpoly check`` and ``audit run`` collect.
 
         The stable ``report`` travels beside its non-stable companions,
         so ``--json`` can print the reports alone and stay identical on
-        every execution path.
+        every execution path.  ``fingerprints`` is present only when
+        :attr:`decl_fingerprints` is not empty.
         """
-        return {
+        payload: dict[str, object] = {
             "file": path,
             "report": self.report,
             "exit": self.exit,
             "trace": self.trace,
             "solver_stats": self.solver_stats,
         }
+        if self.decl_fingerprints:
+            payload["fingerprints"] = self.decl_fingerprints
+        return payload
 
 
 def unchecked_outcome(
@@ -199,16 +209,25 @@ def _outcome_from_module_payload(
     The payload stores the report *without* its ``file`` field (paths
     are not part of store keys); reattaching it first keeps the stable
     JSON key order — and therefore the bytes — identical to a freshly
-    computed report.
+    computed report.  A payload whose ``fingerprints`` do not name every
+    declaration that is not ``ok`` (an entry written before they were
+    stored) is a miss, so the module is checked again and rewritten.
     """
     if not isinstance(payload, dict):
         return None
     body = payload.get("report")
     exit_code = payload.get("exit")
+    fingerprints = payload.get("fingerprints", {})
     if (
         not isinstance(body, dict)
         or not isinstance(exit_code, int)
         or not isinstance(body.get("decls"), list)
+        or not isinstance(fingerprints, dict)
+        or any(
+            decl.get("status") != "ok"
+            and decl.get("decl") not in fingerprints
+            for decl in body["decls"]
+        )
     ):
         return None
     report: dict[str, object] = {"file": path}
@@ -218,6 +237,7 @@ def _outcome_from_module_payload(
         exit=exit_code,
         fingerprint=fingerprint,
         config_digest=digest,
+        decl_fingerprints=fingerprints,
     )
 
 
@@ -259,7 +279,8 @@ def check_source(
     ``store`` is the persistent result store.  It is consulted at
     *module* granularity before even parsing — a content hit serves the
     stored report with zero solver (or parser) work, the restart-parity
-    fast path — and complete, non-aborted reports are written back.
+    fast path — and complete, non-aborted reports are written back, with
+    the outcome's :attr:`~CheckOutcome.decl_fingerprints`.
     When a fresh throwaway session is created it also gets the store,
     so partially changed modules reuse per-declaration entries.
     """
@@ -302,6 +323,11 @@ def check_source(
     trace = {"parse": parse_seconds, "total": time.perf_counter() - started}
     trace.update(result.trace_spans())
     statuses = {decl.status for decl in result.decls}
+    decl_fingerprints = {
+        decl.name: decl.fingerprint
+        for decl, decl_report in zip(module, result.decls)
+        if not decl_report.ok
+    }
     if result.ok:
         exit_code = EXIT_OK
     elif statuses <= {"ok", "aborted", "dependency-error"} and (
@@ -319,15 +345,13 @@ def check_source(
     ):
         # Complete verdicts only: partial (aborted) reports are not
         # cacheable, and parse failures never reach this point.
-        store.put(
-            store_key,
-            {
-                "report": {
-                    k: v for k, v in report.items() if k != "file"
-                },
-                "exit": exit_code,
-            },
-        )
+        stored: dict[str, object] = {
+            "report": {k: v for k, v in report.items() if k != "file"},
+            "exit": exit_code,
+        }
+        if decl_fingerprints:
+            stored["fingerprints"] = decl_fingerprints
+        store.put(store_key, stored)
     return CheckOutcome(
         report=report,
         exit=exit_code,
@@ -335,4 +359,5 @@ def check_source(
         solver_stats=result.solver_rollup(),
         fingerprint=fingerprint,
         config_digest=digest,
+        decl_fingerprints=decl_fingerprints,
     )

@@ -6,14 +6,18 @@ a whole CI fleet — with three invariants:
 
 **Torn or flipped entries read as misses, never as wrong answers.**
 Every entry is a one-file JSON envelope carrying the sha-256 of its own
-canonically encoded payload::
+canonically encoded payload, laid out byte for byte as
+:func:`entry_bytes` builds it (the key-sorted, compact encoding of the
+envelope, then a newline)::
 
-    {"format": 1, "key": "<hex>", "sha256": "<hex>", "payload": {...}}
+    {"format":1,"key":"<hex>","payload":{...},"sha256":"<hex>"}
 
-A reader re-hashes the payload and checks ``format``, ``key`` and
-``sha256`` before believing a byte of it.  Anything that fails — a
-truncated write the machine died during, a flipped bit, garbage, a
-future format — is **quarantined** (atomically renamed into
+A reader checks that the file is exactly that layout around its payload
+bytes: the head with this ``format`` and ``key``, the tail with the
+sha-256 of those very bytes.  Only then does it decode the payload, once.
+Anything that fails — a truncated write the machine died during, a
+flipped bit, garbage, a future format, an envelope re-serialised in
+another layout — is **quarantined** (atomically renamed into
 ``quarantine/``, preserved for forensics) and reported as a miss.
 
 **Writes are atomic and idempotent.**  ``put`` writes to a unique temp
@@ -53,6 +57,8 @@ _QUARANTINE = "quarantine"
 _TMP = "tmp"
 _GC_LOCK = "gc.lock"
 _SUFFIX = ".json"
+#: Bytes after the payload: ``,"sha256":"``, 64 hex digits, ``"}\n``.
+_TAIL_BYTES = 78
 
 
 def _canonical(payload: dict) -> bytes:
@@ -64,6 +70,22 @@ def _canonical(payload: dict) -> bytes:
 
 def payload_digest(payload: dict) -> str:
     return hashlib.sha256(_canonical(payload)).hexdigest()
+
+
+def _head(key: str) -> bytes:
+    return b'{"format":%d,"key":%s,"payload":' % (
+        STORE_FORMAT, json.dumps(key).encode()
+    )
+
+
+def entry_bytes(key: str, body: bytes) -> bytes:
+    """The exact bytes of the entry for ``key`` around the canonical
+    payload encoding ``body``: ``json.dumps`` of the envelope with
+    sorted keys and compact separators, then a newline."""
+    digest = hashlib.sha256(body).hexdigest().encode()
+    return b"".join(
+        (_head(key), body, b',"sha256":"', digest, b'"}\n')
+    )
 
 
 class DiskStore:
@@ -124,20 +146,11 @@ class DiskStore:
         return payload
 
     def put(self, key: str, payload: dict) -> None:
-        envelope = {
-            "format": STORE_FORMAT,
-            "key": key,
-            "sha256": payload_digest(payload),
-            "payload": payload,
-        }
-        data = json.dumps(
-            envelope, sort_keys=True, separators=(",", ":")
-        ).encode() + b"\n"
+        data = entry_bytes(key, _canonical(payload))
         path = self._path(key)
         tmp_dir = os.path.join(self.root, _TMP)
         try:
             fault_point("store.put")
-            os.makedirs(os.path.dirname(path), exist_ok=True)
             fd, tmp_path = tempfile.mkstemp(
                 dir=tmp_dir, prefix=key[:8] + "-", suffix=_SUFFIX
             )
@@ -146,7 +159,12 @@ class DiskStore:
                     handle.write(data)
                     handle.flush()
                     os.fsync(handle.fileno())
-                os.replace(tmp_path, path)
+                try:
+                    os.replace(tmp_path, path)
+                except FileNotFoundError:
+                    # The first entry of its fan-out directory.
+                    os.makedirs(os.path.dirname(path), exist_ok=True)
+                    os.replace(tmp_path, path)
             except BaseException:
                 with contextlib.suppress(OSError):
                     os.unlink(tmp_path)
@@ -158,22 +176,16 @@ class DiskStore:
 
     # -- validation & quarantine ---------------------------------------
     def _validate(self, key: str, raw: bytes) -> Optional[dict]:
-        """The payload iff the envelope is whole and self-consistent."""
+        """The payload iff ``raw`` is exactly the entry :func:`entry_bytes`
+        builds for ``key`` around its own payload bytes."""
+        body = raw[len(_head(key)):len(raw) - _TAIL_BYTES]
+        if entry_bytes(key, body) != raw:
+            return None
         try:
-            envelope = json.loads(raw)
-        except (ValueError, UnicodeDecodeError):
+            payload = json.loads(body)
+        except ValueError:
             return None
-        if not isinstance(envelope, dict):
-            return None
-        payload = envelope.get("payload")
-        if (
-            envelope.get("format") != STORE_FORMAT
-            or envelope.get("key") != key
-            or not isinstance(payload, dict)
-            or envelope.get("sha256") != payload_digest(payload)
-        ):
-            return None
-        return payload
+        return payload if isinstance(payload, dict) else None
 
     def _quarantine(self, path: str) -> None:
         """Move a bad entry aside (atomic; best-effort under races)."""

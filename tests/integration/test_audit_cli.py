@@ -76,6 +76,55 @@ class TestExecutionModeParity:
         assert offline_exit == jobs_exit == daemon_exit == fleet_exit == 1
         assert offline == jobs == daemon == fleet
 
+    @pytest.mark.parametrize("seed", [4, 11])
+    def test_every_store_and_server_mode_prints_the_same_bytes(
+        self, tmp_path, capsys, seed
+    ):
+        # Finding ids come from the fingerprints each path carries: a
+        # fresh check's, a module store entry's, a daemon's response.
+        corpus = str(tmp_path / "corpus")
+        assert main([
+            "generate", "--corpus-dir", corpus, "--modules", "10",
+            "--error-rate", "0.4", "--seed", str(seed),
+        ]) == 0
+        capsys.readouterr()
+        (tmp_path / "corpus" / "broken.rp").write_text(BROKEN)
+        base = ["audit", "run", corpus, "--json"]
+        store, pool_store = str(tmp_path / "s"), str(tmp_path / "p")
+        runs = {
+            "offline": _run_json(capsys, base),
+            "store cold": _run_json(capsys, base + ["--store", store]),
+            "store warm": _run_json(capsys, base + ["--store", store]),
+        }
+        for label in ("cold", "warm"):
+            runs[f"jobs store {label}"] = _run_json(
+                capsys, base + ["--jobs", "2", "--store", pool_store]
+            )
+        served_store = str(tmp_path / "d")
+        # No store; a store filled by the first daemon; and that store
+        # read by a second one (module entries served from disk, then a
+        # replay of the same sources).
+        for label, store_dir, audits in (
+            ("daemon", None, 1),
+            ("daemon store cold", served_store, 1),
+            ("daemon store warm", served_store, 2),
+        ):
+            daemon = Daemon(DaemonConfig(workers=2, store_dir=store_dir))
+            host, port = daemon.serve_tcp(port=0, background=True)
+            try:
+                for audit in range(audits):
+                    runs[f"{label} {audit}"] = _run_json(
+                        capsys, base + ["--server", f"{host}:{port}"]
+                    )
+            finally:
+                daemon.request_shutdown()
+                assert daemon.wait_drained(timeout=30.0)
+        code, offline = runs["offline"]
+        assert code == 1
+        assert '"RP0006"' in offline
+        for label, run in runs.items():
+            assert run == (code, offline), label
+
     def test_identical_defects_merge_across_files(
         self, corpus_dir, capsys
     ):

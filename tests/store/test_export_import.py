@@ -175,6 +175,21 @@ class TestImport:
         assert calls == ["use"]  # no inference but the edited one's
         assert _stable(result) == _stable(check_module(edited))
 
+    def test_rehydration_is_a_phase_of_the_dependents_trace(self):
+        store = MemoryCache()
+        InferSession(store=store).check(parse_module(WELL_TYPED))
+        edited = parse_module(WELL_TYPED.replace("mk true", "mk false"))
+        warm = InferSession(store=store)
+        result = warm.check(edited)
+        assert warm.stats.decls_imported >= 2
+        use = result.report("use").trace
+        assert use["rehydrate"] > 0
+        assert {"unify", "sat", "gc"} <= set(use)
+        assert result.trace_spans()["rehydrate"] == use["rehydrate"]
+        fresh = check_module(edited)
+        assert all("rehydrate" not in r.trace for r in fresh.decls)
+        assert "rehydrate" not in fresh.trace_spans()
+
     def test_failing_dependent_witness_crosses_imported_names(self):
         store = MemoryCache()
         check_source("m.rp", SEED, store=store)

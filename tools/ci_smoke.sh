@@ -248,20 +248,25 @@ PY
   # Audit with --store twice: the first pass, into an empty store,
   # must print the offline document byte for byte (it is where
   # dependents import the exports of store-served declarations); the
-  # second must re-solve nothing (store misses == 0, hits > 0),
-  # produce byte-identical findings, and `audit diff` against the
-  # first run must be an empty delta exiting 0.
+  # second must re-solve nothing (store misses == 0, hits > 0) and
+  # print it byte for byte too (its finding ids come from the
+  # fingerprints the module entries carry), and `audit diff` against
+  # the first run must be an empty delta exiting 0.  Every entry the
+  # cold pass wrote must verify clean.
   rc=0
   PYTHONPATH=src python -m repro audit run corpus --json \
     --store audit-store --out baseline.json \
     --metrics-dump cold-metrics.json > audit-cold.json || rc=$?
   test "$rc" -eq 1
   cmp audit-offline.json audit-cold.json
+  PYTHONPATH=src python -m repro cache verify --store audit-store \
+    | python -c "import json, sys; verdict = json.load(sys.stdin); assert verdict['checked'] > 0 and verdict['corrupt'] == 0, verdict"
   rc=0
-  PYTHONPATH=src python -m repro audit run corpus \
+  PYTHONPATH=src python -m repro audit run corpus --json \
     --store audit-store --out current.json \
-    --metrics-dump warm-metrics.json || rc=$?
+    --metrics-dump warm-metrics.json > audit-warm.json || rc=$?
   test "$rc" -eq 1
+  cmp audit-offline.json audit-warm.json
   python - <<'PY'
 import json
 warm = json.load(open("warm-metrics.json"))
